@@ -12,6 +12,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from enum import Enum
 from typing import Callable, TextIO
 
 from .model import GenerationError, Instance, generate_instance, strip_instance
@@ -216,9 +217,6 @@ def write_csv(results: list[CellResult]) -> bytes:
 # Sweep spec files (one `key value` pair per line, lists comma-separated)
 # ---------------------------------------------------------------------------
 
-_RULE_TOKENS = {r.value: r for r in RuleSet}
-_ORDERING_TOKENS = {o.value: o for o in Ordering}
-
 
 def parse_sweep_spec(text: bytes | str) -> SweepSpec:
     """Parse a sweep spec file mirroring the SweepSpec fields.
@@ -261,11 +259,11 @@ def parse_sweep_spec(text: bytes | str) -> SweepSpec:
     }
     if "rule_sets" in values:
         kwargs["rule_sets"] = tuple(
-            _parse_token(v, _RULE_TOKENS, "rule set") for v in values.pop("rule_sets").split(",")
+            _parse_token(v, RuleSet, "rule set") for v in values.pop("rule_sets").split(",")
         )
     if "orderings" in values:
         kwargs["orderings"] = tuple(
-            _parse_token(v, _ORDERING_TOKENS, "ordering") for v in values.pop("orderings").split(",")
+            _parse_token(v, Ordering, "ordering") for v in values.pop("orderings").split(",")
         )
     if "trials" in values:
         kwargs["trials"] = int(values.pop("trials"))
@@ -283,8 +281,10 @@ def parse_sweep_spec(text: bytes | str) -> SweepSpec:
     return SweepSpec(**kwargs)
 
 
-def _parse_token(raw: str, table: dict, what: str):
+def _parse_token(raw: str, kind: type[Enum], what: str):
     token = raw.strip()
-    if token not in table:
-        raise ValueError(f"unknown {what} {token!r} (expected one of {sorted(table)})")
-    return table[token]
+    try:
+        return kind(token)
+    except ValueError:
+        expected = sorted(k.value for k in kind)
+        raise ValueError(f"unknown {what} {token!r} (expected one of {expected})") from None

@@ -26,9 +26,6 @@ from .solver import (
     verify,
 )
 
-_RULES = {"unit-disk": RuleSet.UNIT_DISK, "conventional": RuleSet.CONVENTIONAL}
-_ORDERINGS = {"random": Ordering.RANDOM, "most-connected": Ordering.MOST_CONNECTED}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="udgl", description="Integer-lattice unit-disk network localization")
@@ -47,8 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="localize the unknowns of an instance or problem file")
     p.add_argument("file", metavar="FILE")
-    p.add_argument("--rules", choices=sorted(_RULES), default="unit-disk")
-    p.add_argument("--ordering", choices=sorted(_ORDERINGS), default="most-connected")
+    p.add_argument("--rules", choices=sorted(r.value for r in RuleSet), default="unit-disk")
+    p.add_argument("--ordering", choices=sorted(o.value for o in Ordering), default="most-connected")
     p.add_argument("--seed", type=int, default=0, metavar="S")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--all", dest="find_all", action="store_true", default=True, help="enumerate all solutions (default)")
@@ -61,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a solution file against a problem file")
     p.add_argument("problem_file", metavar="PROBLEM_FILE")
     p.add_argument("solution_file", metavar="SOLUTION_FILE")
-    p.add_argument("--rules", choices=sorted(_RULES), default="unit-disk")
+    p.add_argument("--rules", choices=sorted(r.value for r in RuleSet), default="unit-disk")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bench", help="run a parameter sweep and write CSV")
@@ -95,8 +92,8 @@ def _load_problem(path: str) -> Problem:
 def _cmd_solve(args: argparse.Namespace) -> int:
     problem = _load_problem(args.file)
     config = SolverConfig(
-        rules=_RULES[args.rules],
-        ordering=_ORDERINGS[args.ordering],
+        rules=RuleSet(args.rules),
+        ordering=Ordering(args.ordering),
         seed=args.seed,
         find_all=args.find_all,
         budget=args.budget,
@@ -129,7 +126,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         assignments = parse_solutions(data)
     if not assignments:
         raise ValueError("solution file contains no assignments")
-    rules = _RULES[args.rules]
+    rules = RuleSet(args.rules)
     for k, assignment in enumerate(assignments):
         violation = verify(problem, assignment, rules)
         if violation is not None:

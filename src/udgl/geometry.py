@@ -1,4 +1,4 @@
-"""Exact integer-lattice geometry: squared distances, lattice circles, collinearity.
+"""Exact integer-lattice geometry: squared distances, lattice circles, collinearity, cell lists.
 
 Every operation here is pure integer arithmetic. No floating point is used
 anywhere, so distance equalities and strict inequalities are exact.
@@ -68,6 +68,37 @@ def circle_size(s: int) -> int:
     squared length s.
     """
     return len(circle_offsets(s))
+
+
+class CellGrid:
+    """Cell list of lattice points for "who lies within squared distance excl" queries.
+
+    Cells have side isqrt(excl), so every point within excl of a query lies in
+    the query's cell or one of its eight neighbours, listed in around (the
+    cell-list neighbour search of Allen & Tildesley, Computer Simulation of
+    Liquids, 5.3). excl = 0 asks for coincident points only, so around is the
+    query's own cell. Points leave in the reverse order they arrived, as on a
+    depth-first path.
+    """
+
+    def __init__(self, excl: int, points: Iterable[Sequence[int]] = ()):
+        if excl < 0:
+            raise ValueError(f"exclusion radius must be non-negative, got {excl}")
+        self.excl = excl
+        self.side = max(1, isqrt(excl))
+        # Own cell first, then edge neighbours, then corners: clashes show early.
+        around = ((0, 0), (0, -1), (0, 1), (-1, 0), (1, 0), (-1, -1), (-1, 1), (1, -1), (1, 1))
+        self.around = around if excl else around[:1]
+        self.cells: dict[tuple[int, int], list[Sequence[int]]] = {}
+        for p in points:
+            self.add(p)
+
+    def add(self, p: Sequence[int]) -> None:
+        self.cells.setdefault((p[0] // self.side, p[1] // self.side), []).append(p)
+
+    def remove(self, p: Sequence[int]) -> None:
+        """Remove p, which must be the point most recently added to its cell."""
+        self.cells[(p[0] // self.side, p[1] // self.side)].pop()
 
 
 def lattice_circle(center: Sequence[int], s: int) -> list[Point]:

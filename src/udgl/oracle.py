@@ -82,7 +82,7 @@ def reach_box(problem: Problem, unknown: int, hops: dict[int, int] | None = None
     return SearchBox(min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
 
 
-def _satisfies(problem: Problem, assignment: dict[int, Point], rules: RuleSet) -> bool:
+def satisfies(problem: Problem, assignment: dict[int, Point], rules: RuleSet) -> bool:
     """Full constraint check over all node pairs, written independently of solver.verify."""
     n = problem.n_nodes
     r2 = problem.radius_sq
@@ -102,11 +102,6 @@ def _satisfies(problem: Problem, assignment: dict[int, Point], rules: RuleSet) -
             elif s == 0 or (ud and s <= r2):
                 return False
     return True
-
-
-def satisfies(problem: Problem, assignment: dict[int, Point], rules: RuleSet) -> bool:
-    """Public alias of the oracle's own constraint loop (cross-checks solver.verify)."""
-    return _satisfies(problem, assignment, rules)
 
 
 def brute_force_solutions(
@@ -135,7 +130,7 @@ def brute_force_solutions(
 
     base = dict(problem.anchors)
     if not unknowns:
-        return [base] if _satisfies(problem, base, rules) else []
+        return [base] if satisfies(problem, base, rules) else []
 
     if search_box is None:
         hops = _hop_counts(problem)
@@ -202,7 +197,7 @@ def brute_force_solutions(
             if last:
                 assignment = dict(base)
                 assignment.update(chosen)
-                if _satisfies(problem, assignment, rules):
+                if satisfies(problem, assignment, rules):
                     found.append(assignment)
             else:
                 extend(idx + 1)

@@ -5,20 +5,23 @@ circle around a realized neighbour and pruning candidates against the active
 rule set. CONVENTIONAL prunes with edge-length equalities and distinctness
 only; UNIT_DISK additionally requires every non-adjacent realized pair to be
 strictly farther apart than the radius, which is what collapses the tree.
+The order is static, so a solve plans every level once, and a cell list of
+the realized points keeps the no-edge test to nearby nodes.
 
-A single solve call is sequential; Problem and SolverConfig are immutable, so
+A solve call is sequential and mutates no process-wide state (the lattice
+circle cache is thread-safe); Problem and SolverConfig are immutable, so
 independent solve calls may run in parallel threads.
 """
 
 from __future__ import annotations
 
 import random
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from math import isqrt
 from typing import NamedTuple
 
-from .geometry import Point, circle_offsets, circle_size, dist2
+from .geometry import CellGrid, Point, circle_offsets, dist2
 from .model import Problem
 
 
@@ -27,6 +30,11 @@ class RuleSet(Enum):
 
     CONVENTIONAL = "conventional"
     UNIT_DISK = "unit-disk"
+
+    def exclusion(self, radius_sq: int) -> int:
+        """Squared distance at or below which two non-adjacent nodes clash: the
+        one difference between the rule sets (0, i.e. distinctness, or r^2)."""
+        return radius_sq if self is RuleSet.UNIT_DISK else 0
 
 
 class Ordering(Enum):
@@ -82,38 +90,6 @@ class SearchStats:
 
 
 @dataclass
-class PartialRealization:
-    """Mutable search state: anchors plus the non-anchors realized so far.
-
-    One shared value is mutated along the active depth-first path, so memory
-    stays O(N) regardless of tree size.
-    """
-
-    assigned: dict[int, Point]
-    n_anchors: int
-    position_set: set[Point] = field(init=False)
-
-    def __post_init__(self):
-        self.position_set = set(self.assigned.values())
-
-    @classmethod
-    def from_problem(cls, problem: Problem) -> "PartialRealization":
-        return cls(assigned=dict(problem.anchors), n_anchors=len(problem.anchors))
-
-    @property
-    def depth(self) -> int:
-        return len(self.assigned) - self.n_anchors
-
-    def place(self, node: int, point: Point) -> None:
-        self.assigned[node] = point
-        self.position_set.add(point)
-
-    def remove(self, node: int) -> None:
-        point = self.assigned.pop(node)
-        self.position_set.discard(point)
-
-
-@dataclass
 class SolutionSet:
     """Complete assignments found by one solve call, with its traversal stats."""
 
@@ -159,93 +135,104 @@ def realization_order(problem: Problem, ordering: Ordering, seed: int = 0) -> li
 
 
 # ---------------------------------------------------------------------------
-# Candidate enumeration
+# Level plan and candidate enumeration
 # ---------------------------------------------------------------------------
 
 
+class Level(NamedTuple):
+    """What every expansion at one level checks: checks are the realized neighbours
+    besides the pivot, expected counts realized neighbours within the exclusion radius."""
+
+    node: int
+    pivot: int
+    pivot_d2: int
+    offsets: tuple[Point, ...]
+    checks: tuple[tuple[int, int], ...]
+    expected: int
+
+
+def plan_levels(problem: Problem, order: list[int], excl: int) -> list[Level]:
+    """One Level per node of the order. The pivot is the realized neighbour whose
+    edge spans the fewest lattice circle points, lowest id on ties."""
+    adj = problem.adjacency
+    realized = set(problem.anchors)
+    circles = {d2: circle_offsets(d2) for d2 in {e.d2 for e in problem.edges}}
+    plan: list[Level] = []
+    for node in order:
+        nbrs = [(m, d2) for m, d2 in adj[node].items() if m in realized]  # ids ascending
+        pivot, pivot_d2 = min(nbrs, key=lambda nb: len(circles[nb[1]]))
+        checks = tuple(nb for nb in nbrs if nb[0] != pivot)
+        expected = sum(1 for _, d2 in nbrs if d2 <= excl)
+        plan.append(Level(node, pivot, pivot_d2, circles[pivot_d2], checks, expected))
+        realized.add(node)
+    return plan
+
+
 def sub_locations(
-    n: int,
-    partial: PartialRealization,
-    problem: Problem,
-    config: SolverConfig,
-    stats: SearchStats,
+    level: Level, pos: list[Point | None], grid: CellGrid, stats: SearchStats, bound: int | None = None
 ) -> list[Point]:
-    """All placements of node n consistent with the realized set, in (x, y) order.
+    """All placements of level.node consistent with the realized set, in (x, y) order.
 
-    The pivot is the realized neighbour whose edge spans the fewest lattice
-    circle points (lowest id on ties); every enumerated circle point counts
-    toward stats.candidates_checked whether or not it survives validation.
+    pos[i] is node i's point while i is realized; grid holds the realized points.
+    Every point of the pivot circle counts toward stats.candidates_checked. A
+    survivor lies in [0, bound)^2 (if bound is given), has the exact length to
+    each realized neighbour, and has exactly level.expected realized points
+    within the exclusion radius.
     """
-    assigned = partial.assigned
-    if n in assigned:
-        raise ValueError(f"node {n} is already realized")
-    if config.enforce_bounds and problem.grid_side is None:
-        raise ValueError("enforce_bounds requires a problem that kept its grid bounds")
-    adj_n = problem.adjacency[n]
-    pivot = -1
-    pivot_d2 = 0
-    pivot_size = -1
-    for m, d2 in adj_n.items():  # keys ascending, so strict < keeps the lowest id
-        if m in assigned:
-            size = circle_size(d2)
-            if pivot < 0 or size < pivot_size:
-                pivot, pivot_d2, pivot_size = m, d2, size
-    if pivot < 0:
-        raise ValueError(f"node {n} has no realized neighbour")
-
-    cx, cy = assigned[pivot]
-    offsets = circle_offsets(pivot_d2)
+    _, pivot, a, offsets, checks, expected = level
+    cx, cy = pos[pivot]
     stats.candidates_checked += len(offsets)
-    r2 = problem.radius_sq
-    bound = problem.grid_side if config.enforce_bounds else None
+    if checks:
+        # Survivors lie where the first check's circle meets the pivot's: with v
+        # the (non-zero) offset between the centres, |o|^2 = a and |o - v|^2 = d2
+        # give o.v = h, so o = (h*v + t*v_perp) / |v|^2 with t^2 = a*|v|^2 - h^2,
+        # a lattice point only when t is an integer and both divisions are exact.
+        m, d2 = checks[0]
+        qx, qy = pos[m]
+        vx = qx - cx
+        vy = qy - cy
+        n = vx * vx + vy * vy
+        k = a - d2 + n
+        h = k >> 1
+        disc = a * n - h * h
+        t = isqrt(disc) if disc >= 0 else -1
+        offsets = []
+        if not k & 1 and t * t == disc:
+            for s in (-t, t) if t else (0,):
+                px = h * vx - s * vy
+                py = h * vy + s * vx
+                if px % n == 0 and py % n == 0:
+                    offsets.append((px // n, py // n))
+            offsets.sort()
+    # The grid query is inlined: a method call per candidate cost about 20% of sweep time.
+    excl, side, around, get = grid.excl, grid.side, grid.around, grid.cells.get
     out: list[Point] = []
-
-    if config.rules is RuleSet.UNIT_DISK:
-        # Every realized node constrains the candidate: exact length on edges,
-        # strictly out of range otherwise (distinctness is implied by both).
-        items = assigned.items()
-        get_edge = adj_n.get
-        for dx, dy in offsets:
-            x = cx + dx
-            y = cy + dy
-            if bound is not None and not (0 <= x < bound and 0 <= y < bound):
-                continue
-            ok = True
-            for p, pos in items:
-                ddx = x - pos[0]
-                ddy = y - pos[1]
-                s = ddx * ddx + ddy * ddy
-                e = get_edge(p)
-                if e is not None:
-                    if s != e:
-                        ok = False
-                        break
-                elif s <= r2:
-                    ok = False
+    for dx, dy in offsets:
+        x = cx + dx
+        y = cy + dy
+        if bound is not None and not (0 <= x < bound and 0 <= y < bound):
+            continue
+        for m, d2 in checks:
+            px, py = pos[m]
+            px -= x
+            py -= y
+            if px * px + py * py != d2:
+                break
+        else:
+            kx = x // side
+            ky = y // side
+            hits = 0
+            for i, j in around:
+                for px, py in get((kx + i, ky + j), ()):
+                    px -= x
+                    py -= y
+                    if px * px + py * py <= excl:
+                        hits += 1
+                if hits > expected:
                     break
-            if ok:
-                out.append(Point(x, y))
-    else:
-        # Only realized neighbours constrain the candidate, plus distinctness
-        # against every realized position.
-        taken = partial.position_set
-        realized_nbrs = [(assigned[p], e) for p, e in adj_n.items() if p in assigned]
-        for dx, dy in offsets:
-            x = cx + dx
-            y = cy + dy
-            if bound is not None and not (0 <= x < bound and 0 <= y < bound):
-                continue
-            if (x, y) in taken:
-                continue
-            ok = True
-            for pos, e in realized_nbrs:
-                ddx = x - pos[0]
-                ddy = y - pos[1]
-                if ddx * ddx + ddy * ddy != e:
-                    ok = False
-                    break
-            if ok:
-                out.append(Point(x, y))
+            else:
+                if hits == expected:
+                    out.append(Point(x, y))
     return out
 
 
@@ -254,18 +241,13 @@ def sub_locations(
 # ---------------------------------------------------------------------------
 
 
-def _anchors_consistent(problem: Problem) -> bool:
-    """Unit-disk sanity of the anchor set itself: non-adjacent pairs must be out of range."""
-    ids = list(problem.anchors)
+def _anchors_consistent(problem: Problem, excl: int) -> bool:
+    """Non-adjacent anchor pairs must lie farther apart than the exclusion radius."""
     adj = problem.adjacency
-    r2 = problem.radius_sq
-    for a in range(len(ids)):
-        i = ids[a]
-        for b in range(a + 1, len(ids)):
-            j = ids[b]
-            if j not in adj[i] and dist2(problem.anchors[i], problem.anchors[j]) <= r2:
-                return False
-    return True
+    anchors = problem.anchors.items()
+    return not any(
+        i < j and j not in adj[i] and dist2(p, q) <= excl for i, p in anchors for j, q in anchors
+    )
 
 
 def solve(problem: Problem, config: SolverConfig) -> SolutionSet:
@@ -275,52 +257,70 @@ def solve(problem: Problem, config: SolverConfig) -> SolutionSet:
     a leaf at depth N - M is a solution. The search stops early when find_all
     is false and a solution was recorded, or when instances_visited hits the
     budget, in which case budget_exhausted is flagged and the partial result
-    returned.
+    returned. The traversal keeps one candidate iterator per level of the
+    active path, so memory stays O(N) whatever the tree size.
     """
     if config.enforce_bounds and problem.grid_side is None:
         raise ValueError("enforce_bounds requires a problem that kept its grid bounds")
     stats = SearchStats()
-    if config.rules is RuleSet.UNIT_DISK and not _anchors_consistent(problem):
+    excl = config.rules.exclusion(problem.radius_sq)
+    if not _anchors_consistent(problem, excl):
         return SolutionSet([], stats)
     order = realization_order(problem, config.ordering, config.seed)
     if not order:
         stats.solutions_found = 1
         return SolutionSet([dict(problem.anchors)], stats)
 
-    n_levels = len(order)
-    partial = PartialRealization.from_problem(problem)
+    plan = plan_levels(problem, order, excl)
+    n_levels = len(plan)
+    pos: list[Point | None] = [problem.anchors.get(i) for i in range(problem.n_nodes)]
+    grid = CellGrid(excl, problem.anchors.values())
+    bound = problem.grid_side if config.enforce_bounds else None
     solutions: list[dict[int, Point]] = []
     budget = config.budget
     find_all = config.find_all
-    if n_levels + 100 > sys.getrecursionlimit():
-        sys.setrecursionlimit(n_levels + 200)
-
-    def expand(level: int) -> bool:
-        """Expand one tree node; returns True to unwind the whole search."""
-        node = order[level]
-        next_level = level + 1
-        for point in sub_locations(node, partial, problem, config, stats):
-            if stats.instances_visited >= budget:
-                stats.budget_exhausted = True
-                return True
-            stats.instances_visited += 1
-            partial.place(node, point)
-            if next_level > stats.max_depth_reached:
-                stats.max_depth_reached = next_level
-            if next_level == n_levels:
-                solutions.append(dict(partial.assigned))
-                stats.solutions_found += 1
-                partial.remove(node)
-                if not find_all:
-                    return True
-            else:
-                stop = expand(next_level)
-                partial.remove(node)
-                if stop:
-                    return True
-        return False
-
-    expand(0)
+    visits = max_depth = 0
+    # it yields the candidates of level depth - 1; parents holds the
+    # suspended iterators of the levels above, whose nodes are placed.
+    it = iter(sub_locations(plan[0], pos, grid, stats, bound))
+    parents = []
+    depth = 1
+    stopped = False
+    while True:
+        for point in it:
+            if visits >= budget:
+                stats.budget_exhausted = stopped = True
+                break
+            visits += 1
+            if depth > max_depth:
+                max_depth = depth
+            node = order[depth - 1]
+            pos[node] = point
+            if depth == n_levels:
+                solutions.append(dict(enumerate(pos)))
+                if find_all:
+                    continue
+                stopped = True
+                break
+            grid.add(point)
+            children = sub_locations(plan[depth], pos, grid, stats, bound)
+            if children:
+                parents.append(it)
+                it = iter(children)
+                depth += 1
+                break
+            grid.remove(point)
+        else:
+            if not parents:
+                break
+            it = parents.pop()
+            depth -= 1
+            grid.remove(pos[order[depth - 1]])
+        if stopped:
+            break
+    stats.instances_visited = visits
+    stats.max_depth_reached = max_depth
+    stats.solutions_found = len(solutions)
     return SolutionSet(solutions, stats)
 
 
@@ -349,8 +349,7 @@ def verify(problem: Problem, assignment: dict[int, Point], rules: RuleSet) -> Vi
             raise AnchorMismatchError(f"anchor {a} moved from {tuple(p)} to {(q[0], q[1])}")
 
     adj = problem.adjacency
-    r2 = problem.radius_sq
-    ud = rules is RuleSet.UNIT_DISK
+    excl = rules.exclusion(problem.radius_sq)
     for i in range(n):
         xi = assignment[i]
         adj_i = adj[i]
@@ -365,7 +364,7 @@ def verify(problem: Problem, assignment: dict[int, Point], rules: RuleSet) -> Vi
                     return Violation("edge", i, j)
             elif s == 0:
                 return Violation("distinct", i, j)
-            elif ud and s <= r2:
+            elif s <= excl:
                 return Violation("no_edge", i, j)
     return None
 

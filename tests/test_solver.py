@@ -1,19 +1,21 @@
 import random
+import sys
 
 import pytest
 
+from udgl.geometry import CellGrid, circle_offsets, circle_size, collinear, dist2, lattice_circle
 from udgl.model import Edge, GenerationError, Problem, generate_instance, strip_instance
 from udgl.solver import (
     AnchorMismatchError,
     MissingNodeError,
     NoEligibleNodeError,
     Ordering,
-    PartialRealization,
     RuleSet,
     SearchStats,
     SolverConfig,
     format_solution_set,
     parse_solutions,
+    plan_levels,
     realization_order,
     solve,
     sub_locations,
@@ -100,6 +102,14 @@ def test_random_ordering_varies_with_seed():
 # ---------------------------------------------------------------------------
 
 
+def first_level(prob, rules=RuleSet.UNIT_DISK):
+    """The plan of the first tree level plus the search state sub_locations sees there."""
+    excl = rules.exclusion(prob.radius_sq)
+    level = plan_levels(prob, realization_order(prob, Ordering.MOST_CONNECTED), excl)[0]
+    pos = [prob.anchors.get(i) for i in range(prob.n_nodes)]
+    return level, pos, CellGrid(excl, prob.anchors.values())
+
+
 def test_sub_locations_empty_circle():
     prob = Problem(
         n_nodes=4,
@@ -108,8 +118,9 @@ def test_sub_locations_empty_circle():
         edges=(Edge(0, 3, 3),),
     )
     stats = SearchStats()
-    partial = PartialRealization.from_problem(prob)
-    out = sub_locations(3, partial, prob, SolverConfig(), stats)
+    level, pos, grid = first_level(prob)
+    assert (level.node, level.pivot, level.offsets) == (3, 0, ())
+    out = sub_locations(level, pos, grid, stats)
     assert out == []
     assert stats.candidates_checked == 0  # no lattice point has squared length 3
 
@@ -123,8 +134,10 @@ def test_sub_locations_two_circle_intersection():
     )
     for rules in RuleSet:
         stats = SearchStats()
-        partial = PartialRealization.from_problem(prob)
-        out = sub_locations(3, partial, prob, SolverConfig(rules=rules), stats)
+        level, pos, grid = first_level(prob, rules)
+        assert (level.pivot, level.checks) == (0, ((1, 25),))  # equal circles: lowest id pivots
+        assert level.expected == (2 if rules is RuleSet.UNIT_DISK else 0)
+        out = sub_locations(level, pos, grid, stats)
         assert out == [(5, 0)]
         assert stats.candidates_checked == 12  # the pivot circle of squared radius 25
 
@@ -132,15 +145,15 @@ def test_sub_locations_two_circle_intersection():
 def test_sub_locations_candidate_count_is_pivot_circle_size(fixture_f1):
     prob = strip_instance(fixture_f1)
     unknown = prob.unknown_ids[0]
-    from udgl.geometry import circle_size
-
     best = min(
         (circle_size(d2), m) for m, d2 in prob.adjacency[unknown].items() if m in prob.anchors
     )
     stats = SearchStats()
-    out = sub_locations(unknown, PartialRealization.from_problem(prob), prob, SolverConfig(), stats)
+    level, pos, grid = first_level(prob)
+    assert (level.node, level.pivot) == (unknown, best[1])
+    out = sub_locations(level, pos, grid, stats)
     assert stats.candidates_checked == best[0]
-    assert out  # ground truth placement survives
+    assert out == [fixture_f1.assignment()[unknown]]  # only the ground truth survives unit-disk rules
 
 
 def test_sub_locations_respects_bounds_flag():
@@ -152,12 +165,116 @@ def test_sub_locations_respects_bounds_flag():
         grid_side=4,
     )
     stats = SearchStats()
-    free = sub_locations(3, PartialRealization.from_problem(prob), prob, SolverConfig(), stats)
+    level, pos, grid = first_level(prob)
+    free = sub_locations(level, pos, grid, stats)
     assert free == [(-1, 1), (1, 1)]
-    bounded = sub_locations(
-        3, PartialRealization.from_problem(prob), prob, SolverConfig(enforce_bounds=True), stats
-    )
+    bounded = sub_locations(level, pos, grid, stats, bound=prob.grid_side)
     assert bounded == [(1, 1)]
+    assert stats.candidates_checked == 8
+
+
+def test_plan_levels_follow_the_order():
+    prob = star_problem()
+    plan = plan_levels(prob, [3, 4], prob.radius_sq)
+    assert [lv.node for lv in plan] == [3, 4]
+    # node 3: all three anchor circles have 4 points, so anchor 0 pivots
+    assert (plan[0].pivot, plan[0].checks, plan[0].expected) == (0, ((1, 2), (2, 2)), 3)
+    assert (plan[1].pivot, plan[1].checks, plan[1].expected) == (3, (), 1)
+    assert plan_levels(prob, [3, 4], 0)[0].expected == 0
+
+
+@pytest.mark.parametrize("r2, e", [(2, 1), (50, 25)])
+def test_cell_list_boundary(r2, e):
+    """A non-neighbour at exactly r2 clashes under unit-disk rules, wherever the cells split."""
+    a0 = (-13, -29)  # negative coordinates; r2 is not a perfect square
+    cands = [(a0[0] + dx, a0[1] + dy) for dx, dy in circle_offsets(e)]
+    side = CellGrid(r2).side
+    crossings = 0
+    for c in cands:
+        for ox, oy in circle_offsets(r2):
+            a1 = (c[0] + ox, c[1] + oy)
+            a2 = (a1[0] + 97, a1[1] - 61)  # out of range of every candidate
+            if a1 == a0 or collinear([a0, a1, a2]):
+                continue
+            crossings += (c[0] // side, c[1] // side) != (a1[0] // side, a1[1] // side)
+            prob = Problem(n_nodes=4, radius_sq=r2, anchors={0: a0, 1: a1, 2: a2}, edges=(Edge(0, 3, e),))
+            level, pos, grid = first_level(prob, RuleSet.UNIT_DISK)
+            ud = sub_locations(level, pos, grid, SearchStats())
+            assert c not in ud
+            assert ud == [q for q in cands if dist2(q, a1) > r2]
+            level, pos, grid = first_level(prob, RuleSet.CONVENTIONAL)
+            conv = sub_locations(level, pos, grid, SearchStats())
+            assert c in conv
+            assert conv == [q for q in cands if q != a1]
+    assert crossings > 0
+
+
+def test_cell_list_rejects_coincident_point_under_conventional_rules():
+    prob = Problem(
+        n_nodes=4,
+        radius_sq=50,
+        anchors={0: (-13, -29), 1: (-13, -24), 2: (40, 7)},  # anchor 1 sits on node 3's circle
+        edges=(Edge(0, 3, 25),),
+    )
+    level, pos, grid = first_level(prob, RuleSet.CONVENTIONAL)
+    out = sub_locations(level, pos, grid, SearchStats())
+    assert len(out) == 11 and (-13, -24) not in out
+
+
+def test_deep_chain_leaves_recursion_limit_alone():
+    n = 20_000
+    prob = Problem(
+        n_nodes=n,
+        radius_sq=1,
+        anchors={0: (0, 0), 1: (0, 5), 2: (-5, 0)},
+        edges=tuple(Edge(k - 1, k, 1) for k in range(3, n)),
+    )
+    before = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(1000)
+        res = solve(prob, SolverConfig(rules=RuleSet.CONVENTIONAL, find_all=False))
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(before)
+    assert res.stats.instances_visited == res.stats.max_depth_reached == n - 3
+    assert res.solutions[0][n - 1] == (-5 - (n - 3), 0)  # find-first always steps to -x
+
+
+def test_sub_locations_matches_circle_walk_reference():
+    """Every level along random paths agrees with walking the pivot circle and testing all pairs."""
+    rng = random.Random(5)
+    done = 0
+    while done < 25:
+        try:
+            r2 = rng.choice((20, 40, 65))
+            inst = generate_instance(14, r2, 11, 3, seed=rng.randint(0, 10**6), max_attempts=40)
+        except GenerationError:
+            continue
+        done += 1
+        prob = strip_instance(inst)
+        order = realization_order(prob, Ordering.RANDOM, seed=done)
+        for rules in RuleSet:
+            excl = rules.exclusion(prob.radius_sq)
+            realized = dict(prob.anchors)
+            pos = [realized.get(i) for i in range(prob.n_nodes)]
+            grid = CellGrid(excl, realized.values())
+            for level in plan_levels(prob, order, excl):
+                adj = prob.adjacency[level.node]
+                expected = [
+                    c
+                    for c in lattice_circle(realized[level.pivot], level.pivot_d2)
+                    if c not in realized.values()
+                    and all(
+                        dist2(c, q) == adj[m] if m in adj else dist2(c, q) > excl
+                        for m, q in realized.items()
+                    )
+                ]
+                out = sub_locations(level, pos, grid, SearchStats())
+                assert out == expected
+                if not out:
+                    break
+                pos[level.node] = realized[level.node] = rng.choice(out)
+                grid.add(realized[level.node])
 
 
 def test_enforce_bounds_requires_grid():
