@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, TextIO
 
-from .model import GenerationError, Instance, generate_instance, strip_instance
+from .model import GenerationError, Instance, generate_instance, parse_int, strip_instance
 from .solver import Ordering, RuleSet, SolutionSet, SolverConfig, solve
 
 CSV_HEADER = (
@@ -247,13 +247,13 @@ def parse_sweep_spec(text: bytes | str) -> SweepSpec:
 
     def int_list(raw: str, key: str) -> tuple[int, ...]:
         try:
-            return tuple(int(v) for v in raw.split(","))
+            return tuple(parse_int(v.strip()) for v in raw.split(","))
         except ValueError:
             raise ValueError(f"spec key {key!r} must be comma-separated integers, got {raw!r}") from None
 
     kwargs: dict = {
-        "grid_side": int(want("grid_side")),
-        "n_nodes": int(want("n_nodes")),
+        "grid_side": parse_int(want("grid_side")),
+        "n_nodes": parse_int(want("n_nodes")),
         "radius_sq_values": int_list(want("radius_sq_values"), "radius_sq_values"),
         "anchor_counts": int_list(want("anchor_counts"), "anchor_counts"),
     }
@@ -265,12 +265,9 @@ def parse_sweep_spec(text: bytes | str) -> SweepSpec:
         kwargs["orderings"] = tuple(
             _parse_token(v, Ordering, "ordering") for v in values.pop("orderings").split(",")
         )
-    if "trials" in values:
-        kwargs["trials"] = int(values.pop("trials"))
-    if "base_seed" in values:
-        kwargs["base_seed"] = int(values.pop("base_seed"))
-    if "budget" in values:
-        kwargs["budget"] = int(values.pop("budget"))
+    for key in ("trials", "base_seed", "budget"):
+        if key in values:
+            kwargs[key] = parse_int(values.pop(key))
     if "find_all" in values:
         raw = values.pop("find_all").lower()
         if raw not in ("0", "1", "true", "false"):

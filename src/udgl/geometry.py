@@ -6,9 +6,10 @@ anywhere, so distance equalities and strict inequalities are exact.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from math import isqrt
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 # Coordinates are capped so that any squared distance between two in-range
 # points stays below 2**63: 2 * (2 * COORD_LIMIT)**2 < 2**63 - 1.
@@ -61,34 +62,56 @@ def circle_offsets(s: int) -> tuple[Point, ...]:
     return tuple(offsets)
 
 
-def circle_size(s: int) -> int:
-    """Number of lattice points on a circle of squared radius s.
+def cell_rule(r2: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Cell side and the cell offsets that hold every point within squared distance r2:
+    such a lattice point differs from p by at most isqrt(r2) per axis, so it lies in
+    p's cell or one of its eight neighbours, or only in p's own cell when r2 = 0 (the
+    cell-list search of Allen & Tildesley, Computer Simulation of Liquids, 5.3)."""
+    if r2 < 0:
+        raise ValueError(f"squared distance bound must be non-negative, got {r2}")
+    # Own cell first, then edge neighbours, then corners: clashes show early.
+    around = ((0, 0), (0, -1), (0, 1), (-1, 0), (1, 0), (-1, -1), (-1, 1), (1, -1), (1, 1))
+    return max(1, isqrt(r2)), around if r2 else around[:1]
 
-    This is the branching bound of one search expansion over an edge of
-    squared length s.
-    """
-    return len(circle_offsets(s))
+
+def pairs_within(points: Sequence[Sequence[int]], r2: int) -> Iterator[tuple[int, int, int]]:
+    """Lazily yield (i, j, s) for every i < j with s = dist2(points[i], points[j]) <= r2,
+    in ascending (i, j) order. Points are bucketed by cell_rule(r2), and each occupied
+    cell merges the ids of its neighbourhood once, so only nearby pairs are tested."""
+    side, around = cell_rule(r2)
+    # Below 24 points testing every pair beats bucketing, so they all share one cell.
+    keys = [(p[0] // side, p[1] // side) for p in points] if len(points) >= 24 else [(0, 0)] * len(points)
+    cells: dict[tuple[int, int], list[int]] = {}
+    for i, key in enumerate(keys):
+        cells.setdefault(key, []).append(i)
+    near = {}
+    for kx, ky in cells:
+        ids = near[kx, ky] = []
+        for dx, dy in around:
+            ids += cells.get((kx + dx, ky + dy), ())
+        ids.sort()
+    for i, key in enumerate(keys):
+        ids = near[key]
+        x, y = points[i]
+        for j in ids[bisect_right(ids, i) :]:
+            q = points[j]
+            dx = q[0] - x
+            dy = q[1] - y
+            s = dx * dx + dy * dy
+            if s <= r2:
+                yield i, j, s
 
 
 class CellGrid:
     """Cell list of lattice points for "who lies within squared distance excl" queries.
 
-    Cells have side isqrt(excl), so every point within excl of a query lies in
-    the query's cell or one of its eight neighbours, listed in around (the
-    cell-list neighbour search of Allen & Tildesley, Computer Simulation of
-    Liquids, 5.3). excl = 0 asks for coincident points only, so around is the
-    query's own cell. Points leave in the reverse order they arrived, as on a
-    depth-first path.
+    Cells and neighbourhoods follow cell_rule(excl). Points leave in the
+    reverse order they arrived, as on a depth-first path.
     """
 
     def __init__(self, excl: int, points: Iterable[Sequence[int]] = ()):
-        if excl < 0:
-            raise ValueError(f"exclusion radius must be non-negative, got {excl}")
         self.excl = excl
-        self.side = max(1, isqrt(excl))
-        # Own cell first, then edge neighbours, then corners: clashes show early.
-        around = ((0, 0), (0, -1), (0, 1), (-1, 0), (1, 0), (-1, -1), (-1, 1), (1, -1), (1, 1))
-        self.around = around if excl else around[:1]
+        self.side, self.around = cell_rule(excl)
         self.cells: dict[tuple[int, int], list[Sequence[int]]] = {}
         for p in points:
             self.add(p)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from .geometry import Point, check_point, collinear, dist2
+from .geometry import Point, check_point, collinear, dist2, pairs_within
 
 
 class Edge(NamedTuple):
@@ -36,29 +36,24 @@ class ParseError(Exception):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
+def parse_int(token: str) -> int:
+    """The value of an ASCII integer token -?[0-9]+. Anything else that Python's
+    int() would take (underscores, a plus sign, non-ASCII digits) is a ValueError."""
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 # ---------------------------------------------------------------------------
 # Core types
 # ---------------------------------------------------------------------------
 
 
-def _derive_edges(positions: tuple[Point, ...], radius_sq: int) -> tuple[Edge, ...]:
-    """Every pair within the radius, ascending lexicographic (i, j)."""
-    edges = []
-    n = len(positions)
-    for i in range(n):
-        xi = positions[i]
-        for j in range(i + 1, n):
-            s = dist2(xi, positions[j])
-            if s <= radius_sq:
-                edges.append(Edge(i, j, s))
-    return tuple(edges)
-
-
-def _is_connected(n: int, edges: Iterable[Edge]) -> bool:
+def _is_connected(n: int, edges: Iterable[tuple[int, int, int]]) -> bool:
     adj: list[list[int]] = [[] for _ in range(n)]
-    for e in edges:
-        adj[e.i].append(e.j)
-        adj[e.j].append(e.i)
+    for i, j, _ in edges:
+        adj[i].append(j)
+        adj[j].append(i)
     seen = [False] * n
     stack = [0]
     seen[0] = True
@@ -105,7 +100,7 @@ class Instance:
                 raise ValueError(f"position {tuple(p)} outside [0, {self.grid_side})^2")
         if len(set(positions)) != n:
             raise ValueError("node positions must be pairwise distinct")
-        object.__setattr__(self, "edges", _derive_edges(positions, self.radius_sq))
+        object.__setattr__(self, "edges", tuple(Edge(*e) for e in pairs_within(positions, self.radius_sq)))
         m = sum(flags)
         if not 3 <= m < n:
             raise ValueError(f"anchor count must satisfy 3 <= M < N, got M={m}, N={n}")
@@ -234,7 +229,7 @@ def generate_instance(
         anchor_set = set(rng.sample(range(n_nodes), n_anchors))
         if collinear([positions[i] for i in sorted(anchor_set)]):
             continue
-        if not _is_connected(n_nodes, _derive_edges(positions, radius_sq)):
+        if not _is_connected(n_nodes, pairs_within(positions, radius_sq)):
             continue
         flags = tuple(i in anchor_set for i in range(n_nodes))
         return Instance(grid_side, radius_sq, positions, flags)
@@ -332,7 +327,7 @@ def parse_file(data: bytes | str) -> Instance | Problem:
 
     def intval(tok: str, no: int, what: str) -> int:
         try:
-            return int(tok)
+            return parse_int(tok)
         except ValueError:
             raise ParseError(f"invalid {what}: {tok!r}", no) from None
 
@@ -435,16 +430,10 @@ def parse_file(data: bytes | str) -> Instance | Problem:
             inst = Instance(grid, radius_sq, positions, flags)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
-        declared = tuple(sorted(edges))
-        if declared != inst.edges:
-            missing = set(inst.edges) - set(declared)
-            extra = set(declared) - set(inst.edges)
-            detail = []
-            if missing:
-                detail.append(f"missing {sorted(missing)[0]}")
-            if extra:
-                detail.append(f"spurious {sorted(extra)[0]}")
-            raise ParseError(f"edge list does not match node geometry: {', '.join(detail)}")
+        if tuple(sorted(edges)) != inst.edges:
+            # Each declared edge was checked against the positions above, so some must be missing.
+            missing = min(set(inst.edges) - set(edges))
+            raise ParseError(f"edge list does not match node geometry: missing {missing}")
         return inst
 
     anchor_points = {i: coords[i] for i in sorted(anchors)}

@@ -21,8 +21,8 @@ from enum import Enum
 from math import isqrt
 from typing import NamedTuple
 
-from .geometry import CellGrid, Point, circle_offsets, dist2
-from .model import Problem
+from .geometry import CellGrid, Point, circle_offsets, dist2, pairs_within
+from .model import Problem, parse_int
 
 
 class RuleSet(Enum):
@@ -243,11 +243,8 @@ def sub_locations(
 
 def _anchors_consistent(problem: Problem, excl: int) -> bool:
     """Non-adjacent anchor pairs must lie farther apart than the exclusion radius."""
-    adj = problem.adjacency
-    anchors = problem.anchors.items()
-    return not any(
-        i < j and j not in adj[i] and dist2(p, q) <= excl for i, p in anchors for j, q in anchors
-    )
+    ids, adj = list(problem.anchors), problem.adjacency
+    return all(ids[b] in adj[ids[a]] for a, b, _ in pairs_within(list(problem.anchors.values()), excl))
 
 
 def solve(problem: Problem, config: SolverConfig) -> SolutionSet:
@@ -348,25 +345,17 @@ def verify(problem: Problem, assignment: dict[int, Point], rules: RuleSet) -> Vi
         if q[0] != p.x or q[1] != p.y:
             raise AnchorMismatchError(f"anchor {a} moved from {tuple(p)} to {(q[0], q[1])}")
 
+    # Edge mismatches come from the edge list; every other violation is a pair within
+    # the exclusion radius, walked in (i, j) order only up to the first mismatched edge.
+    points = [assignment[i] for i in range(n)]
+    mismatch = min(((e.i, e.j) for e in problem.edges if dist2(points[e.i], points[e.j]) != e.d2), default=None)
     adj = problem.adjacency
-    excl = rules.exclusion(problem.radius_sq)
-    for i in range(n):
-        xi = assignment[i]
-        adj_i = adj[i]
-        for j in range(i + 1, n):
-            xj = assignment[j]
-            dx = xi[0] - xj[0]
-            dy = xi[1] - xj[1]
-            s = dx * dx + dy * dy
-            e = adj_i.get(j)
-            if e is not None:
-                if s != e:
-                    return Violation("edge", i, j)
-            elif s == 0:
-                return Violation("distinct", i, j)
-            elif s <= excl:
-                return Violation("no_edge", i, j)
-    return None
+    for i, j, s in pairs_within(points, rules.exclusion(problem.radius_sq)):
+        if mismatch is not None and (i, j) >= mismatch:
+            break
+        if j not in adj[i]:
+            return Violation("no_edge" if s else "distinct", i, j)
+    return None if mismatch is None else Violation("edge", *mismatch)
 
 
 # ---------------------------------------------------------------------------
@@ -405,25 +394,26 @@ def parse_solutions(data: bytes | str) -> list[dict[int, Point]]:
     rows = [line.split() for line in text.splitlines() if line.strip() and not line.lstrip().startswith("#")]
     if not rows or rows[0][0] != "solutions" or len(rows[0]) != 2:
         raise ValueError("solution file must start with a 'solutions <k>' line")
-    count = int(rows[0][1])
+    count = parse_int(rows[0][1])
     out: list[dict[int, Point]] = []
     current: dict[int, Point] | None = None
     for toks in rows[1:]:
         if toks[0] == "sol":
-            if len(toks) != 2 or int(toks[1]) != len(out):
+            if len(toks) != 2 or parse_int(toks[1]) != len(out):
                 raise ValueError(f"unexpected solution index in {' '.join(toks)!r}")
             current = {}
             out.append(current)
         elif toks[0] == "node":
             if current is None or len(toks) != 4:
                 raise ValueError(f"malformed node line {' '.join(toks)!r}")
-            node_id = int(toks[1])
+            node_id = parse_int(toks[1])
             if node_id in current:
                 raise ValueError(f"duplicate node {node_id} in solution {len(out) - 1}")
-            current[node_id] = Point(int(toks[2]), int(toks[3]))
+            current[node_id] = Point(parse_int(toks[2]), parse_int(toks[3]))
         elif toks[0] == "stat":
             if len(toks) != 3:
                 raise ValueError(f"malformed stat line {' '.join(toks)!r}")
+            parse_int(toks[2])
         else:
             raise ValueError(f"unexpected line {' '.join(toks)!r}")
     if len(out) != count:

@@ -217,3 +217,21 @@ def test_parse_sweep_spec_defaults_and_errors():
         parse_sweep_spec(minimal + "rule_sets euclid\n")
     with pytest.raises(ValueError, match="duplicate key"):
         parse_sweep_spec(minimal + "grid_side 21\n")
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("grid_side 20", "grid_side 2_0"),
+        ("n_nodes 10", "n_nodes +10"),
+        ("radius_sq_values 50", "radius_sq_values 50,+60"),
+        ("anchor_counts 3", "anchor_counts \u0663"),  # Arabic-Indic three
+        ("anchor_counts 3", "anchor_counts 3\ntrials 2_0"),
+        ("anchor_counts 3", "anchor_counts 3\nbudget +400"),
+    ],
+)
+def test_parse_sweep_spec_rejects_non_canonical_integers(old, new):
+    minimal = "grid_side 20\nn_nodes 10\nradius_sq_values 50, 60\nanchor_counts 3\n"
+    assert parse_sweep_spec(minimal).radius_sq_values == (50, 60)  # blanks around list items are fine
+    with pytest.raises(ValueError):
+        parse_sweep_spec(minimal.replace(old, new))

@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from udgl.geometry import COORD_LIMIT, Point, check_point, circle_size, collinear, dist2, lattice_circle
+from udgl.geometry import (
+    COORD_LIMIT,
+    Point,
+    cell_rule,
+    check_point,
+    circle_offsets,
+    collinear,
+    dist2,
+    lattice_circle,
+    pairs_within,
+)
 
 coords = st.integers(min_value=-500, max_value=500)
 points = st.tuples(coords, coords)
@@ -59,7 +69,7 @@ def test_lattice_circle_matches_brute_force(s, center):
 @given(st.integers(min_value=0, max_value=2500), points, points)
 def test_lattice_circle_size_translation_invariant(s, c1, c2):
     assert len(lattice_circle(c1, s)) == len(lattice_circle(c2, s))
-    assert circle_size(s) == len(lattice_circle(c1, s))
+    assert len(circle_offsets(s)) == len(lattice_circle(c1, s))
 
 
 @given(st.integers(min_value=0, max_value=5000))
@@ -113,3 +123,48 @@ def test_check_point_range():
         check_point((1.5, 0))
     with pytest.raises(TypeError):
         check_point((True, 0))
+
+
+def brute_pairs(pts, r2):
+    """Independent reference: every pair, ascending (i, j)."""
+    return [(i, j, dist2(p, q)) for i, p in enumerate(pts) for j, q in enumerate(pts) if i < j and dist2(p, q) <= r2]
+
+
+@st.composite
+def point_sets(draw):
+    """Up to 70 points in a box of random half-width: 0 makes them all coincide."""
+    w = draw(st.integers(min_value=0, max_value=40))
+    c = st.integers(min_value=-w, max_value=w)
+    return draw(st.lists(st.tuples(c, c), max_size=70))
+
+
+@settings(max_examples=300)
+@given(point_sets(), st.integers(min_value=0, max_value=300))
+def test_pairs_within_matches_all_pairs(pts, r2):
+    got = list(pairs_within(pts, r2))
+    assert got == brute_pairs(pts, r2)
+    assert all(a[:2] < b[:2] for a, b in zip(got, got[1:]))
+
+
+@pytest.mark.parametrize("r2", [0, 1, 2, 25, 50, 65])
+def test_pairs_within_exact_radius_across_cell_boundaries(r2):
+    """A pair at exactly r2 is found for every lattice offset, from a point in the corner of its cell."""
+    side = cell_rule(r2)[0]
+    pts, pairs = [], []
+    for k, (dx, dy) in enumerate(circle_offsets(r2)):
+        base = (side * (10 * k - 40) - 1, -side * 10 * k - 1)  # the last lattice point of its cell
+        pairs.append((len(pts), len(pts) + 1, r2))
+        pts += [base, (base[0] + dx, base[1] + dy)]
+    pts += [(10**6 + 100 * k, 10**6) for k in range(24)]  # far apart: enough points to bucket
+    got = list(pairs_within(pts, r2))
+    assert got == brute_pairs(pts, r2)
+    assert set(pairs) <= set(got)
+    ends = pts[: 2 * len(pairs)]
+    crossings = sum((p[0] // side, p[1] // side) != (q[0] // side, q[1] // side) for p, q in zip(ends[::2], ends[1::2]))
+    assert crossings > 0 or r2 == 0
+
+
+def test_pairs_within_is_lazy():
+    assert next(pairs_within([(5, -5)] * 20_000, 4)) == (0, 1, 0)
+    with pytest.raises(ValueError):
+        next(pairs_within([(0, 0), (1, 1)], -1))

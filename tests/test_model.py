@@ -220,6 +220,51 @@ def test_parse_errors_carry_line_numbers():
         parse_file(base.rsplit("edge", 1)[0])
 
 
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        ("grid 10", "grid 1_0", 2),
+        ("radius_sq 9", "radius_sq \u0669", 3),  # Arabic-Indic nine
+        ("nodes 4", "nodes \uff14", 4),  # fullwidth four
+        ("node 1 anchor 3 0", "node 1 anchor +3 0", 6),
+        ("node 3 unknown 3 3", "node 3 unknown 3 0_3", 8),
+        ("edges 4", "edges +4", 9),
+        ("edge 0 1 9", "edge 0 1 +9", 10),
+        ("edge 1 3 9", "edge 1 \u0663 9", 12),  # Arabic-Indic three
+    ],
+)
+def test_parse_rejects_non_canonical_integers(old, new, line):
+    base = (
+        "udgl 1\ngrid 10\nradius_sq 9\nnodes 4\n"
+        "node 0 anchor 0 0\nnode 1 anchor 3 0\nnode 2 anchor 0 3\nnode 3 unknown 3 3\n"
+        "edges 4\nedge 0 1 9\nedge 0 2 9\nedge 1 3 9\nedge 2 3 9\n"
+    )
+    assert parse_file(base).n_nodes == 4
+    assert old in base
+    assert parse_error_line(base.replace(old, new)) == line
+
+
+def test_canonical_files_round_trip_byte_for_byte():
+    rng = random.Random(4)
+    done = 0
+    while done < 20:
+        try:
+            inst = generate_instance(40, 60, rng.randint(4, 60), 4, seed=rng.randint(0, 10**6), max_attempts=40)
+        except GenerationError:
+            continue
+        done += 1
+        shifted = strip_instance(inst)
+        shifted = Problem(  # negative anchor coordinates exercise the minus sign
+            n_nodes=shifted.n_nodes,
+            radius_sq=shifted.radius_sq,
+            anchors={i: (x - 50, y - 50) for i, (x, y) in shifted.anchors.items()},
+            edges=shifted.edges,
+        )
+        for obj in (inst, strip_instance(inst, keep_bounds=True), shifted):
+            data = write_file(obj)
+            assert write_file(parse_file(data)) == data
+
+
 def test_parse_rejects_structural_problems():
     # instance missing an edge that the geometry implies
     bad = (

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from udgl.geometry import CellGrid, circle_offsets, circle_size, collinear, dist2, lattice_circle
+from udgl.geometry import CellGrid, circle_offsets, collinear, dist2, lattice_circle
 from udgl.model import Edge, GenerationError, Problem, generate_instance, strip_instance
 from udgl.solver import (
     AnchorMismatchError,
@@ -13,6 +13,7 @@ from udgl.solver import (
     RuleSet,
     SearchStats,
     SolverConfig,
+    Violation,
     format_solution_set,
     parse_solutions,
     plan_levels,
@@ -146,7 +147,7 @@ def test_sub_locations_candidate_count_is_pivot_circle_size(fixture_f1):
     prob = strip_instance(fixture_f1)
     unknown = prob.unknown_ids[0]
     best = min(
-        (circle_size(d2), m) for m, d2 in prob.adjacency[unknown].items() if m in prob.anchors
+        (len(circle_offsets(d2)), m) for m, d2 in prob.adjacency[unknown].items() if m in prob.anchors
     )
     stats = SearchStats()
     level, pos, grid = first_level(prob)
@@ -465,6 +466,65 @@ def test_verify_reports_distinctness():
     assert (violation.i, violation.j) == (3, 4)
 
 
+def verify_all_pairs(problem, assignment, rules):
+    """Reference: scan every pair in ascending (i, j) order, the first violation wins."""
+    adj = problem.adjacency
+    excl = rules.exclusion(problem.radius_sq)
+    n = problem.n_nodes
+    for i in range(n):
+        for j in range(i + 1, n):
+            s = dist2(assignment[i], assignment[j])
+            e = adj[i].get(j)
+            if e is not None:
+                if s != e:
+                    return Violation("edge", i, j)
+            elif s == 0:
+                return Violation("distinct", i, j)
+            elif s <= excl:
+                return Violation("no_edge", i, j)
+    return None
+
+
+def test_verify_matches_all_pairs_reference_on_corrupted_assignments():
+    rng = random.Random(17)
+    kinds = set()
+    for grid, r2, n, m in ((30, 50, 40, 4), (60, 90, 60, 5), (12, 20, 8, 3)):
+        inst = generate_instance(grid, r2, n, m, seed=rng.randint(0, 10**6))
+        prob = strip_instance(inst)
+        truth = inst.assignment()
+        for _ in range(150):
+            bad = dict(truth)
+            for _ in range(rng.randint(1, 5)):
+                u = rng.choice(prob.unknown_ids)
+                v = rng.randrange(n)
+                how = rng.randrange(3)
+                if how == 0:  # nudge: breaks edge lengths
+                    bad[u] = (bad[u][0] + rng.randint(-2, 2), bad[u][1] + rng.randint(-2, 2))
+                elif how == 1:  # onto another node
+                    bad[u] = bad[v]
+                else:  # next to another node, usually a non-neighbour
+                    bad[u] = (bad[v][0] + rng.randint(-3, 3), bad[v][1] + rng.randint(-3, 3))
+            for rules in RuleSet:
+                want = verify_all_pairs(prob, bad, rules)
+                assert verify(prob, bad, rules) == want
+                kinds.add(want and want.kind)
+    assert kinds == {None, "edge", "distinct", "no_edge"}
+
+
+def test_verify_stops_at_first_clash_of_coincident_nodes():
+    n = 20_000
+    a = n - 3
+    prob = Problem(
+        n_nodes=n,
+        radius_sq=25,
+        anchors={a: (0, 0), a + 1: (100, 0), a + 2: (0, 100)},
+        edges=tuple(Edge(k, a, 25) for k in range(a)),
+    )
+    stacked = {k: (3, 4) for k in range(a)} | prob.anchors
+    for rules in RuleSet:
+        assert verify(prob, stacked, rules) == Violation("distinct", 0, 1)
+
+
 def test_unit_disk_accepts_subset_of_conventional():
     # any assignment valid under unit-disk rules is valid under conventional rules
     rng = random.Random(8)
@@ -499,3 +559,20 @@ def test_parse_solutions_rejects_malformed():
         parse_solutions("solutions 2\nsol 0\nnode 0 1 2\n")
     with pytest.raises(ValueError):
         parse_solutions("solutions 1\nsol 0\nnode 0 1 2\nnode 0 1 3\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "solutions 1\nsol 0\nnode 0 1_0 +2\n",
+        "solutions 1\nsol 0\nnode 0 10 +2\n",
+        "solutions 1\nsol 0\nnode \u0660 1 2\n",  # Arabic-Indic zero
+        "solutions +1\nsol 0\nnode 0 1 2\n",
+        "solutions 1\nsol 0_0\nnode 0 1 2\n",
+        "solutions 1\nsol 0\nnode 0 1 2\nstat max_depth 1_0\n",
+    ],
+)
+def test_parse_solutions_rejects_non_canonical_integers(text):
+    assert parse_solutions("solutions 1\nsol 0\nnode 0 -1 2\nstat max_depth 10\n") == [{0: (-1, 2)}]
+    with pytest.raises(ValueError):
+        parse_solutions(text)
