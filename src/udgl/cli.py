@@ -11,7 +11,17 @@ import sys
 from pathlib import Path
 
 from .bench import parse_sweep_spec, run_sweep, write_csv
-from .model import GenerationError, Instance, ParseError, Problem, generate_instance, parse_file, strip_instance, write_file
+from .model import (
+    GenerationError,
+    Instance,
+    ParseError,
+    Problem,
+    generate_instance,
+    parse_file,
+    parse_int,
+    strip_instance,
+    write_file,
+)
 from .oracle import CapExceededError, FixtureNotFoundError, find_fixture_f1
 from .solver import (
     AnchorMismatchError,
@@ -27,16 +37,24 @@ from .solver import (
 )
 
 
+def _int_flag(token: str) -> int:
+    """argparse type for numeric flags: the files' strict -?[0-9]+ integer grammar."""
+    try:
+        return parse_int(token)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="udgl", description="Integer-lattice unit-disk network localization")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a random connected instance")
-    p.add_argument("--grid", type=int, required=True, metavar="C")
-    p.add_argument("--radius-sq", type=int, required=True, metavar="R2")
-    p.add_argument("--nodes", type=int, required=True, metavar="N")
-    p.add_argument("--anchors", type=int, required=True, metavar="M")
-    p.add_argument("--seed", type=int, required=True, metavar="S")
+    p.add_argument("--grid", type=_int_flag, required=True, metavar="C")
+    p.add_argument("--radius-sq", type=_int_flag, required=True, metavar="R2")
+    p.add_argument("--nodes", type=_int_flag, required=True, metavar="N")
+    p.add_argument("--anchors", type=_int_flag, required=True, metavar="M")
+    p.add_argument("--seed", type=_int_flag, required=True, metavar="S")
     p.add_argument("-o", "--output", required=True, metavar="FILE")
     p.add_argument("--problem", action="store_true", help="write the stripped problem instead of the ground truth")
     p.add_argument("--keep-bounds", action="store_true", help="keep the grid line when writing a problem")
@@ -46,11 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", metavar="FILE")
     p.add_argument("--rules", choices=sorted(r.value for r in RuleSet), default="unit-disk")
     p.add_argument("--ordering", choices=sorted(o.value for o in Ordering), default="most-connected")
-    p.add_argument("--seed", type=int, default=0, metavar="S")
+    p.add_argument("--seed", type=_int_flag, default=0, metavar="S")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--all", dest="find_all", action="store_true", default=True, help="enumerate all solutions (default)")
     group.add_argument("--first", dest="find_all", action="store_false", help="stop at the first solution")
-    p.add_argument("--budget", type=int, default=SolverConfig.budget, metavar="B")
+    p.add_argument("--budget", type=_int_flag, default=SolverConfig.budget, metavar="B")
     p.add_argument("--enforce-bounds", action="store_true")
     p.add_argument("-o", "--output", metavar="FILE", help="write solutions here instead of stdout")
     p.set_defaults(func=_cmd_solve)
@@ -68,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixture", help="search for a canonical test fixture")
     p.add_argument("kind", choices=["f1"])
-    p.add_argument("--max-grid", type=int, default=10, metavar="G")
+    p.add_argument("--max-grid", type=_int_flag, default=10, metavar="G")
     p.add_argument("-o", "--output", required=True, metavar="FILE")
     p.set_defaults(func=_cmd_fixture)
 

@@ -109,6 +109,18 @@ class Instance:
         if not _is_connected(n, self.edges):
             raise ValueError("derived edge graph is not connected")
 
+    @classmethod
+    def _prechecked(
+        cls, grid_side: int, radius_sq: int, positions: tuple[Point, ...], anchor_flags: tuple[bool, ...], edges
+    ) -> Instance:
+        """An Instance from fields that already meet every invariant above, with edges
+        derived from the positions; __post_init__'s checks and derivation are skipped."""
+        inst = object.__new__(cls)
+        inst.__dict__.update(
+            grid_side=grid_side, radius_sq=radius_sq, positions=positions, anchor_flags=anchor_flags, edges=edges
+        )
+        return inst
+
     @property
     def n_nodes(self) -> int:
         return len(self.positions)
@@ -180,12 +192,13 @@ class Problem:
 
     @cached_property
     def adjacency(self) -> dict[int, dict[int, int]]:
-        """node id -> {neighbour id -> squared edge length}, neighbour keys ascending."""
+        """node id -> {neighbour id -> squared edge length}, neighbour keys ascending
+        (the edges are sorted by (i, j), so node u meets its neighbours in id order)."""
         adj: dict[int, dict[int, int]] = {i: {} for i in range(self.n_nodes)}
         for e in self.edges:
             adj[e.i][e.j] = e.d2
             adj[e.j][e.i] = e.d2
-        return {i: dict(sorted(nbrs.items())) for i, nbrs in adj.items()}
+        return adj
 
     @property
     def unknown_ids(self) -> tuple[int, ...]:
@@ -210,7 +223,8 @@ def generate_instance(
     Nodes are sampled uniformly without replacement over grid cells and the
     anchors uniformly among nodes; attempts failing connectivity or anchor
     non-collinearity are rejected and resampled. Raises GenerationError after
-    max_attempts failures.
+    max_attempts failures. Sampled positions are distinct integer cells inside
+    the grid, so the accepted attempt's edges are derived once, here.
     """
     if n_nodes < 4:
         raise ValueError(f"n_nodes must be >= 4, got {n_nodes}")
@@ -229,10 +243,11 @@ def generate_instance(
         anchor_set = set(rng.sample(range(n_nodes), n_anchors))
         if collinear([positions[i] for i in sorted(anchor_set)]):
             continue
-        if not _is_connected(n_nodes, pairs_within(positions, radius_sq)):
+        pairs = list(pairs_within(positions, radius_sq))
+        if not _is_connected(n_nodes, pairs):
             continue
         flags = tuple(i in anchor_set for i in range(n_nodes))
-        return Instance(grid_side, radius_sq, positions, flags)
+        return Instance._prechecked(grid_side, radius_sq, positions, flags, tuple(Edge(*e) for e in pairs))
     raise GenerationError(
         f"no connected instance with non-collinear anchors in {max_attempts} attempts "
         f"(grid={grid_side}, radius_sq={radius_sq}, nodes={n_nodes}, anchors={n_anchors})"

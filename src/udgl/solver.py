@@ -16,8 +16,10 @@ independent solve calls may run in parallel threads.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heapify, heappop, heappush
 from math import isqrt
 from typing import NamedTuple
 
@@ -108,29 +110,52 @@ def realization_order(problem: Problem, ordering: Ordering, seed: int = 0) -> li
     Each node in the order has at least one edge into the anchors plus the
     nodes before it. MOST_CONNECTED greedily maximizes that edge count
     (lowest id on ties); RANDOM picks uniformly among currently eligible
-    nodes with the given seed.
+    nodes, in ascending id order, with one rng.randrange per step.
+
+    The order is built in O(E log N) comparisons, because the eligible
+    frontier is kept incrementally and never rebuilt. MOST_CONNECTED pops a
+    lazy max-heap keyed (-count, id) that gets a fresh entry whenever a count
+    rises, and skips stale entries (at most one per edge). RANDOM keeps the
+    eligible ids in a list sorted with bisect, whose inserts and pops shift
+    at most the frontier in one memmove.
     """
     adj = problem.adjacency
-    realized = set(problem.anchors)
-    pending = {i for i in range(problem.n_nodes) if i not in realized}
-    counts = {u: sum(1 for v in adj[u] if v in realized) for u in pending}
+    n = problem.n_nodes
+    realized = [False] * n
+    counts = [0] * n
+    for a in problem.anchors:
+        realized[a] = True
+        for v in adj[a]:
+            counts[v] += 1
+    most = ordering is Ordering.MOST_CONNECTED
+    frontier = [u for u in range(n) if counts[u] and not realized[u]]
+    if most:
+        frontier = [(-counts[u], u) for u in frontier]
+        heapify(frontier)
     rng = random.Random(seed)
     order: list[int] = []
-    while pending:
-        eligible = [u for u in sorted(pending) if counts[u] > 0]
-        if not eligible:
-            raise NoEligibleNodeError(
-                f"nodes {sorted(pending)} have no path of edges to the anchors"
-            )
-        if ordering is Ordering.MOST_CONNECTED:
-            pick = max(eligible, key=counts.__getitem__)
+    for _ in range(n - len(problem.anchors)):
+        if most:
+            while frontier:
+                c, pick = heappop(frontier)
+                if counts[pick] == -c:  # one entry per (count, id): this one is live
+                    break
+            else:
+                pick = None
         else:
-            pick = eligible[rng.randrange(len(eligible))]
+            pick = frontier.pop(rng.randrange(len(frontier))) if frontier else None
+        if pick is None:
+            pending = [u for u in range(n) if not realized[u]]
+            raise NoEligibleNodeError(f"nodes {pending} have no path of edges to the anchors")
         order.append(pick)
-        pending.remove(pick)
+        realized[pick] = True
         for v in adj[pick]:
-            if v in pending:
+            if not realized[v]:
                 counts[v] += 1
+                if most:
+                    heappush(frontier, (-counts[v], v))
+                elif counts[v] == 1:
+                    insort(frontier, v)
     return order
 
 

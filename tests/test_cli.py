@@ -1,4 +1,6 @@
-from udgl.cli import main
+import pytest
+
+from udgl.cli import _build_parser, main
 from udgl.model import Instance, Problem, parse_file
 from udgl.solver import parse_solutions
 from tests.conftest import FIXTURE_DIR
@@ -158,6 +160,34 @@ def test_usage_errors_exit_1():
     assert run("solve") == 1
     assert run("frobnicate") == 1
     assert run("generate", "--grid", 10) == 1
+
+
+GENERATE = ["generate", "--grid", "10", "--radius-sq", "20", "--nodes", "6", "--anchors", "3", "--seed", "1"]
+NUMERIC_FLAGS = [(GENERATE, flag) for flag in ("--grid", "--radius-sq", "--nodes", "--anchors", "--seed")] + [
+    (["solve", "f.udgl", "--seed", "0"], "--seed"),
+    (["solve", "f.udgl", "--budget", "5"], "--budget"),
+    (["fixture", "f1", "--max-grid", "10"], "--max-grid"),
+]
+
+
+@pytest.mark.parametrize("token", ["1_0", "+1", "\u0663", "\uff11"])  # Arabic-Indic 3, fullwidth 1
+@pytest.mark.parametrize("argv, flag", NUMERIC_FLAGS)
+def test_numeric_flags_reject_non_canonical_integers(tmp_path, capsys, argv, flag, token):
+    out = tmp_path / "out"
+    argv = list(argv)
+    argv[argv.index(flag) + 1] = token
+    assert run(*argv, "-o", out) == 1
+    assert f"argument {flag}: not an integer: {token!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-7", "0", "7", "12"])
+def test_numeric_flags_take_plain_integers(value):
+    for argv, flag in NUMERIC_FLAGS:
+        argv = list(argv)
+        argv[argv.index(flag) + 1] = value
+        args = _build_parser().parse_args([*argv, "-o", "out"])
+        assert getattr(args, flag[2:].replace("-", "_")) == int(value)
 
 
 def test_parse_errors_exit_2(tmp_path):

@@ -43,6 +43,18 @@ def test_generate_is_deterministic():
     assert c != a
 
 
+def test_generated_instances_pass_every_instance_check():
+    """The generator builds its result from edges it derived itself; full validation agrees."""
+    rng = random.Random(6)
+    for grid, r2, n, m in ((10, 8, 5, 3), (12, 40, 7, 4), (20, 40, 10, 3), (40, 100, 30, 5), (100, 625, 100, 10)):
+        for _ in range(8):
+            try:
+                inst = generate_instance(grid, r2, n, m, seed=rng.randint(0, 10**6), max_attempts=40)
+            except GenerationError:
+                continue
+            assert Instance(grid, r2, inst.positions, inst.anchor_flags) == inst
+
+
 def test_generate_complete_graph_when_radius_covers_grid():
     inst = generate_instance(10, 200, 4, 3, seed=1)
     assert len(inst.edges) == 6  # complete graph on 4 nodes
@@ -127,6 +139,19 @@ def test_problem_adjacency():
     assert prob.adjacency[0] == {1: 9, 3: 4}
     assert prob.adjacency[2] == {}
     assert prob.unknown_ids == (3,)
+
+
+def test_problem_adjacency_keys_ascending_whatever_the_edge_order():
+    inst = generate_instance(30, 60, 60, 4, seed=12)
+    edges = list(inst.edges)
+    random.Random(3).shuffle(edges)
+    prob = Problem(inst.n_nodes, inst.radius_sq, strip_instance(inst).anchors, tuple(edges))
+    want = {i: {} for i in range(inst.n_nodes)}
+    for i, j, d2 in inst.edges:
+        want[i][j] = want[j][i] = d2
+    assert prob.adjacency == want
+    for u, nbrs in prob.adjacency.items():
+        assert list(nbrs) == sorted(want[u])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 import sys
+from math import isqrt
 
 import pytest
 
@@ -96,6 +97,82 @@ def test_random_ordering_varies_with_seed():
     prob = strip_instance(inst)
     orders = {tuple(realization_order(prob, Ordering.RANDOM, seed=s)) for s in range(10)}
     assert len(orders) > 1
+
+
+def realization_order_resort(problem, ordering, seed=0):
+    """Reference order: rebuild and sort the eligible set on every step, O(N^2 log N)."""
+    adj = problem.adjacency
+    realized = set(problem.anchors)
+    pending = {i for i in range(problem.n_nodes) if i not in realized}
+    counts = {u: sum(1 for v in adj[u] if v in realized) for u in pending}
+    rng = random.Random(seed)
+    order = []
+    while pending:
+        eligible = [u for u in sorted(pending) if counts[u] > 0]
+        if not eligible:
+            raise NoEligibleNodeError(f"nodes {sorted(pending)} have no path of edges to the anchors")
+        if ordering is Ordering.MOST_CONNECTED:
+            pick = max(eligible, key=counts.__getitem__)
+        else:
+            pick = eligible[rng.randrange(len(eligible))]
+        order.append(pick)
+        pending.remove(pick)
+        for v in adj[pick]:
+            if v in pending:
+                counts[v] += 1
+    return order
+
+
+def order_or_error(order_fn, prob, ordering, seed):
+    try:
+        return order_fn(prob, ordering, seed)
+    except NoEligibleNodeError as exc:
+        return f"NoEligibleNodeError: {exc}"
+
+
+def test_realization_order_matches_resort_reference():
+    rng = random.Random(21)
+    problems = [star_problem()]
+    # count ties: every unknown sees two anchors, and 4-5-6 also see each other
+    problems.append(Problem(
+        n_nodes=8,
+        radius_sq=100,
+        anchors={0: (0, 0), 1: (10, 0), 2: (0, 10)},
+        edges=tuple(Edge(a, u, 50) for a in (0, 1) for u in range(3, 8)) + (Edge(4, 5, 1), Edge(5, 6, 1)),
+    ))
+    while len(problems) < 60:
+        n = rng.randint(4, 80)
+        grid = rng.randint(isqrt(n) + 1, 3 * isqrt(n) + 8)
+        try:
+            inst = generate_instance(grid, rng.randint(2, 60), n, rng.randint(3, min(n - 1, 8)),
+                                     seed=rng.randint(0, 10**6), max_attempts=40)
+        except GenerationError:
+            continue
+        prob = strip_instance(inst)
+        problems.append(prob)
+        # the same nodes with some edges dropped: often disconnected from the anchors
+        kept = tuple(e for e in prob.edges if rng.random() < 0.6)
+        problems.append(Problem(prob.n_nodes, prob.radius_sq, prob.anchors, kept))
+    errors = 0
+    for prob in problems:
+        for ordering in Ordering:
+            for seed in range(4):
+                want = order_or_error(realization_order_resort, prob, ordering, seed)
+                assert order_or_error(realization_order, prob, ordering, seed) == want
+                errors += isinstance(want, str)
+    assert 0 < errors < len(problems) * len(Ordering) * 4
+
+
+def test_realization_order_on_a_long_path():
+    n = 100_000
+    prob = Problem(
+        n_nodes=n,
+        radius_sq=1,
+        anchors={0: (0, 0), 1: (0, 5), 2: (-5, 0)},
+        edges=tuple(Edge(k - 1, k, 1) for k in range(3, n)),
+    )
+    for ordering in Ordering:
+        assert realization_order(prob, ordering) == list(range(3, n))
 
 
 # ---------------------------------------------------------------------------
