@@ -9,6 +9,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -68,6 +69,14 @@ def _is_connected(n: int, edges: Iterable[tuple[int, int, int]]) -> bool:
     return count == n
 
 
+def _prechecked(cls, **fields):
+    """An object of the frozen dataclass cls from fields that already meet every
+    invariant its __post_init__ enforces; those checks are skipped."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class Instance:
     """Ground-truth network on a square grid; the edge set is always derived.
@@ -108,18 +117,6 @@ class Instance:
             raise ValueError("anchor positions must not be collinear")
         if not _is_connected(n, self.edges):
             raise ValueError("derived edge graph is not connected")
-
-    @classmethod
-    def _prechecked(
-        cls, grid_side: int, radius_sq: int, positions: tuple[Point, ...], anchor_flags: tuple[bool, ...], edges
-    ) -> Instance:
-        """An Instance from fields that already meet every invariant above, with edges
-        derived from the positions; __post_init__'s checks and derivation are skipped."""
-        inst = object.__new__(cls)
-        inst.__dict__.update(
-            grid_side=grid_side, radius_sq=radius_sq, positions=positions, anchor_flags=anchor_flags, edges=edges
-        )
-        return inst
 
     @property
     def n_nodes(self) -> int:
@@ -175,19 +172,18 @@ class Problem:
             raise ValueError("anchor positions must not be collinear")
         edges = tuple(sorted(Edge(*e) for e in self.edges))
         object.__setattr__(self, "edges", edges)
-        seen: set[tuple[int, int]] = set()
-        for e in edges:
-            if not (0 <= e.i < e.j < self.n_nodes):
-                raise ValueError(f"edge ({e.i}, {e.j}) is not canonical (need 0 <= i < j < N)")
-            if (e.i, e.j) in seen:
-                raise ValueError(f"duplicate edge ({e.i}, {e.j})")
-            seen.add((e.i, e.j))
-            if not 1 <= e.d2 <= self.radius_sq:
-                raise ValueError(f"edge ({e.i}, {e.j}) has d2={e.d2} outside [1, {self.radius_sq}]")
-            if e.i in anchors and e.j in anchors and dist2(anchors[e.i], anchors[e.j]) != e.d2:
+        last = (-1, -1)  # sorted, so a duplicate pair follows its first copy
+        for i, j, d2 in edges:
+            if not (0 <= i < j < self.n_nodes):
+                raise ValueError(f"edge ({i}, {j}) is not canonical (need 0 <= i < j < N)")
+            if (i, j) == last:
+                raise ValueError(f"duplicate edge ({i}, {j})")
+            last = (i, j)
+            if not 1 <= d2 <= self.radius_sq:
+                raise ValueError(f"edge ({i}, {j}) has d2={d2} outside [1, {self.radius_sq}]")
+            if i in anchors and j in anchors and dist2(anchors[i], anchors[j]) != d2:
                 raise ValueError(
-                    f"edge ({e.i}, {e.j}) d2={e.d2} contradicts anchor positions "
-                    f"(true d2={dist2(anchors[e.i], anchors[e.j])})"
+                    f"edge ({i}, {j}) d2={d2} contradicts anchor positions (true d2={dist2(anchors[i], anchors[j])})"
                 )
 
     @cached_property
@@ -247,7 +243,10 @@ def generate_instance(
         if not _is_connected(n_nodes, pairs):
             continue
         flags = tuple(i in anchor_set for i in range(n_nodes))
-        return Instance._prechecked(grid_side, radius_sq, positions, flags, tuple(Edge(*e) for e in pairs))
+        edges = tuple(Edge(*e) for e in pairs)
+        return _prechecked(
+            Instance, grid_side=grid_side, radius_sq=radius_sq, positions=positions, anchor_flags=flags, edges=edges
+        )
     raise GenerationError(
         f"no connected instance with non-collinear anchors in {max_attempts} attempts "
         f"(grid={grid_side}, radius_sq={radius_sq}, nodes={n_nodes}, anchors={n_anchors})"
@@ -255,9 +254,14 @@ def generate_instance(
 
 
 def strip_instance(inst: Instance, keep_bounds: bool = False) -> Problem:
-    """Project an Instance to the Problem the solver sees (unknown positions withheld)."""
+    """Project an Instance to the Problem the solver sees (unknown positions withheld).
+
+    Every Problem invariant follows from the Instance's own (its anchors are distinct,
+    in-grid, non-collinear points; its edges are sorted, canonical and exact), so the
+    Problem is built without re-checking them."""
     anchors = {i: inst.positions[i] for i in inst.anchor_ids}
-    return Problem(
+    return _prechecked(
+        Problem,
         n_nodes=inst.n_nodes,
         radius_sq=inst.radius_sq,
         anchors=anchors,
@@ -278,7 +282,7 @@ def strip_instance(inst: Instance, keep_bounds: bool = False) -> Problem:
 #   node <id> unknown <x> <y>      (ground-truth files)
 #   node <id> unknown              (problem files)
 #   edges <E>
-#   edge <i> <j> <d2>              (i < j, ascending lexicographic)
+#   edge <i> <j> <d2>              (i < j, strictly ascending (i, j); enforced on parse)
 #
 # Comment lines starting with '#' are ignored on parse and never written.
 
@@ -310,29 +314,36 @@ def write_file(obj: Instance | Problem) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+# One edge line with its three integers, as take("edge", 3) and parse_int accept it: in
+# a str pattern \s matches exactly the characters str.split() splits on.
+_EDGE_LINE = re.compile(r"edge\s+(-?[0-9]+)\s+(-?[0-9]+)\s+(-?[0-9]+)")
+
+
 def parse_file(data: bytes | str) -> Instance | Problem:
     """Parse the udgl text format; returns an Instance when all positions are present.
 
-    Violations are rejected with the offending line number: malformed rows,
-    duplicate positions, duplicate or non-canonical edges, d2 outside
-    [1, radius_sq], and edge lengths inconsistent with two given positions.
+    Violations are rejected with the offending line number: invalid UTF-8, malformed
+    rows, duplicate positions, non-canonical, duplicate or out-of-order edges, d2
+    outside [1, radius_sq], and edge lengths inconsistent with two given positions.
+    The rows are read in one pass. A ground-truth file's edge list must then equal,
+    in one comparison, the edges its positions imply.
     """
-    text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
-    rows: list[tuple[int, list[str]]] = []
-    for no, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append((no, stripped.split()))
-
-    pos = 0
+    if isinstance(data, (bytes, bytearray)):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # The bytes before the first bad one decode; a line count past them finds its line.
+            line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+            raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line) from None
+    rows = ((no, s) for no, raw in enumerate(data.splitlines(), 1) if (s := raw.strip()) and s[0] != "#")
+    ahead = next(rows, None)  # the next non-blank, non-comment row
 
     def take(keyword: str, n_args: int | tuple[int, ...]) -> tuple[int, list[str]]:
-        nonlocal pos
-        if pos >= len(rows):
+        nonlocal ahead
+        if ahead is None:
             raise ParseError(f"unexpected end of file, expected '{keyword}' line")
-        no, toks = rows[pos]
-        pos += 1
+        no, toks = ahead[0], ahead[1].split()
+        ahead = next(rows, None)
         if toks[0] != keyword:
             raise ParseError(f"expected '{keyword}', got '{toks[0]}'", no)
         allowed = (n_args,) if isinstance(n_args, int) else n_args
@@ -346,12 +357,17 @@ def parse_file(data: bytes | str) -> Instance | Problem:
         except ValueError:
             raise ParseError(f"invalid {what}: {tok!r}", no) from None
 
+    def edge_ints(no: int, toks: list[str]) -> tuple[int, int, int]:
+        i = intval(toks[0], no, "edge endpoint")
+        j = intval(toks[1], no, "edge endpoint")
+        return i, j, intval(toks[2], no, "squared edge length")
+
     no, toks = take("udgl", 1)
     if toks[1] != "1":
         raise ParseError(f"unsupported format version {toks[1]!r}", no)
 
     grid: int | None = None
-    if pos < len(rows) and rows[pos][1][0] == "grid":
+    if ahead is not None and ahead[1].split(None, 1)[0] == "grid":
         no, toks = take("grid", 1)
         grid = intval(toks[1], no, "grid side")
         if grid < 1:
@@ -410,30 +426,41 @@ def parse_file(data: bytes | str) -> Instance | Problem:
     if n_edges < 0:
         raise ParseError("edge count must be non-negative", no)
 
-    edges: list[Edge] = []
-    seen_pairs: set[tuple[int, int]] = set()
+    # Strictly ascending (i, j), with i < j < n, is ascending i * n + j.
+    edges: list[tuple[int, int, int]] = []
+    last = -1
     for _ in range(n_edges):
-        no, toks = take("edge", 3)
-        i = intval(toks[1], no, "edge endpoint")
-        j = intval(toks[2], no, "edge endpoint")
-        d2 = intval(toks[3], no, "squared edge length")
+        m = _EDGE_LINE.fullmatch(ahead[1]) if ahead is not None else None
+        if m is not None:
+            no = ahead[0]
+            ahead = next(rows, None)
+            try:
+                i, j, d2 = int(m[1]), int(m[2]), int(m[3])
+            except ValueError:  # more digits than int() converts; edge_ints words the error
+                i, j, d2 = edge_ints(no, m.groups())
+        else:  # take and edge_ints word the error
+            no, toks = take("edge", 3)
+            i, j, d2 = edge_ints(no, toks[1:])
         if not (0 <= i < j < n):
             raise ParseError(f"edge ({i}, {j}) is not canonical (need 0 <= i < j < N)", no)
-        if (i, j) in seen_pairs:
-            raise ParseError(f"duplicate edge ({i}, {j})", no)
-        seen_pairs.add((i, j))
+        key = i * n + j
+        if key <= last:
+            if key == last:
+                raise ParseError(f"duplicate edge ({i}, {j})", no)
+            raise ParseError(f"edge ({i}, {j}) out of order: edges must be in ascending (i, j) order", no)
+        last = key
         if d2 < 1:
             raise ParseError(f"edge ({i}, {j}) has non-positive d2={d2}", no)
         if d2 > radius_sq:
             raise ParseError(f"edge ({i}, {j}) has d2={d2} exceeding radius_sq={radius_sq}", no)
-        if i in coords and j in coords and dist2(coords[i], coords[j]) != d2:
-            raise ParseError(
-                f"edge ({i}, {j}) d2={d2} inconsistent with positions (true d2={dist2(coords[i], coords[j])})", no
-            )
-        edges.append(Edge(i, j, d2))
+        p = coords.get(i)
+        q = coords.get(j)
+        if p is not None and q is not None and dist2(p, q) != d2:
+            raise ParseError(f"edge ({i}, {j}) d2={d2} inconsistent with positions (true d2={dist2(p, q)})", no)
+        edges.append((i, j, d2))
 
-    if pos < len(rows):
-        raise ParseError(f"unexpected trailing line '{rows[pos][1][0]}'", rows[pos][0])
+    if ahead is not None:
+        raise ParseError(f"unexpected trailing line '{ahead[1].split(None, 1)[0]}'", ahead[0])
 
     if not bare_unknowns:
         # Every node carries coordinates: ground-truth instance.
@@ -445,10 +472,12 @@ def parse_file(data: bytes | str) -> Instance | Problem:
             inst = Instance(grid, radius_sq, positions, flags)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
-        if tuple(sorted(edges)) != inst.edges:
-            # Each declared edge was checked against the positions above, so some must be missing.
-            missing = min(set(inst.edges) - set(edges))
-            raise ParseError(f"edge list does not match node geometry: missing {missing}")
+        if tuple(edges) != inst.edges:
+            # Each declared edge was checked against the positions above and the declared
+            # list ascends, so it is a sorted sublist of inst.edges: the first position
+            # where the two differ holds the smallest missing edge.
+            k = next((k for k, (a, b) in enumerate(zip(edges, inst.edges)) if a != b), len(edges))
+            raise ParseError(f"edge list does not match node geometry: missing {inst.edges[k]}")
         return inst
 
     anchor_points = {i: coords[i] for i in sorted(anchors)}

@@ -1,6 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from udgl.geometry import collinear, dist2
 from udgl.model import (
@@ -118,14 +121,39 @@ def test_problem_validation():
         Problem(n_nodes=4, radius_sq=9, anchors=anchors, edges=(Edge(0, 3, 10),))  # d2 > r2
     with pytest.raises(ValueError):
         Problem(n_nodes=4, radius_sq=9, anchors=anchors, edges=(Edge(3, 0, 4),))  # i >= j
-    with pytest.raises(ValueError):
-        Problem(n_nodes=4, radius_sq=9, anchors=anchors, edges=(Edge(0, 3, 4), Edge(0, 3, 4)))
+    for dup in ((Edge(0, 3, 4), Edge(0, 3, 4)), (Edge(0, 3, 5), Edge(0, 1, 9), Edge(0, 3, 4))):
+        with pytest.raises(ValueError, match=r"^duplicate edge \(0, 3\)$"):
+            Problem(n_nodes=4, radius_sq=9, anchors=anchors, edges=dup)
     with pytest.raises(ValueError):
         Problem(n_nodes=4, radius_sq=9, anchors={0: (0, 0), 1: (1, 0), 2: (2, 0)}, edges=())  # collinear
     with pytest.raises(ValueError):
         Problem(n_nodes=2, radius_sq=9, anchors=anchors, edges=())  # M > N
     # zero-unknown problems are allowed as degenerate solver inputs
     Problem(n_nodes=3, radius_sq=9, anchors=anchors, edges=(Edge(0, 1, 9),))
+
+
+def test_strip_instance_equals_validated_problem():
+    """strip_instance skips Problem's checks; a fully validated Problem from the same fields agrees."""
+    rng = random.Random(13)
+    done = 0
+    while done < 200:
+        grid = rng.choice([8, 12, 20, 40])
+        n = rng.randint(4, 30)
+        try:
+            inst = generate_instance(
+                grid, rng.choice([5, 10, 25, 60, 200]), n, rng.randint(3, n - 1), seed=rng.randint(0, 10**6), max_attempts=40
+            )
+        except GenerationError:
+            continue
+        done += 1
+        for keep_bounds in (False, True):
+            prob = strip_instance(inst, keep_bounds)
+            anchors = {i: inst.positions[i] for i in inst.anchor_ids}
+            want = Problem(inst.n_nodes, inst.radius_sq, anchors, inst.edges, inst.grid_side if keep_bounds else None)
+            assert prob == want
+            assert list(prob.anchors) == list(want.anchors)
+            assert all(type(e) is Edge for e in prob.edges)
+            assert prob.adjacency == want.adjacency
 
 
 def test_problem_adjacency():
@@ -267,6 +295,173 @@ def test_parse_rejects_non_canonical_integers(old, new, line):
     assert parse_file(base).n_nodes == 4
     assert old in base
     assert parse_error_line(base.replace(old, new)) == line
+
+
+GT_BASE = (
+    "udgl 1\ngrid 10\nradius_sq 9\nnodes 4\n"
+    "node 0 anchor 0 0\nnode 1 anchor 3 0\nnode 2 anchor 0 3\nnode 3 unknown 3 3\n"
+    "edges 4\nedge 0 1 9\nedge 0 2 9\nedge 1 3 9\nedge 2 3 9\n"
+)
+
+
+@pytest.mark.parametrize("problem", [False, True])
+def test_parse_rejects_out_of_order_edges_at_their_line(problem):
+    text = GT_BASE.replace("node 3 unknown 3 3", "node 3 unknown") if problem else GT_BASE
+    assert parse_file(text).n_nodes == 4
+    swapped = text.replace("edge 0 2 9\nedge 1 3 9", "edge 1 3 9\nedge 0 2 9")
+    with pytest.raises(ParseError, match=r"edge \(0, 2\) out of order") as info:
+        parse_file(swapped)
+    assert info.value.line == 12
+    # a later edge smaller in j than its predecessor with the same i
+    with pytest.raises(ParseError, match="out of order") as info:
+        parse_file(text.replace("edge 0 1 9\nedge 0 2 9", "edge 0 2 9\nedge 0 1 9"))
+    assert info.value.line == 11
+
+
+@pytest.mark.parametrize("problem", [False, True])
+def test_parse_rejects_duplicate_edge_line_at_its_line(problem):
+    text = GT_BASE.replace("node 3 unknown 3 3", "node 3 unknown") if problem else GT_BASE
+    dup = text.replace("edges 4\n", "edges 5\n").replace("edge 0 2 9\n", "edge 0 2 9\nedge 0 2 9\n")
+    with pytest.raises(ParseError, match=r"duplicate edge \(0, 2\)$") as info:
+        parse_file(dup)
+    assert info.value.line == 12
+
+
+@pytest.mark.parametrize("ws", ["\t", "\u3000", "\xa0", "\x1f", "  \t "])
+def test_parse_accepts_any_in_line_whitespace_between_edge_tokens(ws):
+    text = GT_BASE.replace("edge 0 2 9", f"{ws}edge{ws}0{ws}2{ws}9{ws}")
+    assert parse_file(text) == parse_file(GT_BASE)
+
+
+def test_parse_rejects_edge_integers_too_long_for_int():
+    # They match the edge-line pattern, but int() refuses more than sys.get_int_max_str_digits() digits.
+    too_long = "9" * 5000
+    with pytest.raises(ParseError, match="invalid squared edge length") as info:
+        parse_file(GT_BASE.replace("edge 0 2 9", f"edge 0 2 {too_long}"))
+    assert info.value.line == 11
+    with pytest.raises(ParseError, match="invalid edge endpoint") as info:
+        parse_file(GT_BASE.replace("edge 0 2 9", f"edge 0 {too_long} 9"))
+    assert info.value.line == 11
+
+
+def test_parse_treats_form_feed_as_a_line_break_in_edge_lines():
+    # str.splitlines() breaks lines at a form feed, so it never separates tokens.
+    with pytest.raises(ParseError, match=r"'edge' line has 2 fields") as info:
+        parse_file(GT_BASE.replace("edge 0 2 9", "edge 0 2\x0c9"))
+    assert info.value.line == 11
+
+
+def test_parse_names_smallest_missing_edge():
+    two = GT_BASE.replace("edges 4\nedge 0 1 9\nedge 0 2 9\n", "edges 2\n")
+    with pytest.raises(ParseError, match=r"missing Edge\(i=0, j=1, d2=9\)$"):
+        parse_file(two)
+    prefix = GT_BASE.replace("edges 4", "edges 3").replace("edge 2 3 9\n", "")
+    with pytest.raises(ParseError, match=r"missing Edge\(i=2, j=3, d2=9\)$"):
+        parse_file(prefix)
+    rng = random.Random(8)
+    inst = generate_instance(30, 60, 60, 4, seed=3)
+    for _ in range(30):
+        kept = sorted(rng.sample(inst.edges, rng.randrange(len(inst.edges))))
+        head, _ = write_file(inst).decode().split("edges ")
+        body = "".join(f"edge {i} {j} {d2}\n" for i, j, d2 in kept)
+        with pytest.raises(ParseError) as info:
+            parse_file(f"{head}edges {len(kept)}\n{body}")
+        assert str(info.value) == f"edge list does not match node geometry: missing {min(set(inst.edges) - set(kept))}"
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"\xff", 1),
+        (b"udgl 1\ngrid 10\n\xfe\n", 3),
+        (b"udgl 1\n# caf\xc3\xa9 \xc3\n", 2),  # a valid two-byte char, then a truncated one
+        (b"udgl 1\r\n\r\nnodes \xed\xa0\x80\n", 3),  # an encoded surrogate
+        (b"udgl 1\x0cgrid \x80", 2),  # splitlines() counts the form feed as a line break
+    ],
+)
+def test_parse_reports_invalid_utf8_at_its_line(data, line):
+    with pytest.raises(ParseError, match="invalid UTF-8") as info:
+        parse_file(data)
+    assert info.value.line == line
+
+
+def test_parse_peak_memory_is_a_small_multiple_of_the_instance():
+    """The parse keeps no per-line token lists or edge copies beside the Instance it builds."""
+    data = write_file(generate_instance(1000, 2500, 3000, 30, seed=0))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        inst = parse_file(data)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert isinstance(inst, Instance) and len(inst.edges) > 30_000
+    assert peak - base <= 4 * (size - base)
+
+
+_SOUP_WORDS = ["udgl", "grid", "radius_sq", "nodes", "node", "anchor", "unknown", "edges", "edge", "#", "1"]
+_SOUP_INTS = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["+1", "1_0", "0_3", "-", "--1", "\u0663", "\uff14", "1.0", "0x10", "9" * 5000]),
+)
+_SOUP_TOKENS = st.one_of(st.sampled_from(_SOUP_WORDS), _SOUP_INTS)
+_SOUP_SPACES = st.sampled_from([" ", " ", "  ", "\t", "\u3000", "\xa0"])
+_SOUP_BREAKS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0c", "\x85", "\u2028", "\n\n"])
+
+
+@st.composite
+def _token_soup(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 25))):
+        lines.append(draw(_SOUP_SPACES).join(draw(st.lists(_SOUP_TOKENS, min_size=1, max_size=6))))
+    header = draw(st.sampled_from(["", "udgl 1\n", "udgl 1\ngrid 10\nradius_sq 9\nnodes 4\n"]))
+    return header + "".join(line + draw(_SOUP_BREAKS) for line in lines)
+
+
+@st.composite
+def _mutated_file(draw):
+    """A valid file with a few tokens swapped for soup or a few lines dropped, duplicated or swapped."""
+    lines = GT_BASE.splitlines()
+    if draw(st.booleans()):
+        lines = [line.replace(" 3 3", "") if line.startswith("node 3") else line for line in lines]
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, len(lines) - 1))
+        toks = lines[k].split()
+        action = draw(st.sampled_from(["token", "token", "drop", "dup", "swap"]))
+        if action == "token":
+            toks[draw(st.integers(0, len(toks) - 1))] = draw(_SOUP_TOKENS)
+            lines[k] = " ".join(toks)
+        elif action == "drop":
+            del lines[k]
+        elif action == "dup":
+            lines.insert(k, lines[k])
+        else:
+            m = draw(st.integers(0, len(lines) - 1))
+            lines[k], lines[m] = lines[m], lines[k]
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+def _parses_or_raises_parse_error(data):
+    try:
+        obj = parse_file(data)
+    except ParseError:
+        return
+    assert parse_file(write_file(obj)) == obj
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.binary(max_size=300))
+def test_arbitrary_bytes_raise_only_parse_error(data):
+    _parses_or_raises_parse_error(data)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(_token_soup(), _mutated_file()), st.booleans())
+def test_token_soup_raises_only_parse_error(text, as_bytes):
+    _parses_or_raises_parse_error(text.encode("utf-8") if as_bytes else text)
 
 
 def test_canonical_files_round_trip_byte_for_byte():
