@@ -135,7 +135,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     problem = _load_problem(args.problem_file)
     data = Path(args.solution_file).read_bytes()
-    if data.lstrip().startswith(b"udgl"):
+    first = next((s for s in (line.strip() for line in data.splitlines()) if s and s[:1] != b"#"), b"")
+    if first.startswith(b"udgl"):
         obj = parse_file(data)
         if isinstance(obj, Problem):
             raise ValueError("solution file carries no coordinates for the unknowns")

@@ -102,28 +102,6 @@ def pairs_within(points: Sequence[Sequence[int]], r2: int) -> Iterator[tuple[int
                 yield i, j, s
 
 
-class CellGrid:
-    """Cell list of lattice points for "who lies within squared distance excl" queries.
-
-    Cells and neighbourhoods follow cell_rule(excl). Points leave in the
-    reverse order they arrived, as on a depth-first path.
-    """
-
-    def __init__(self, excl: int, points: Iterable[Sequence[int]] = ()):
-        self.excl = excl
-        self.side, self.around = cell_rule(excl)
-        self.cells: dict[tuple[int, int], list[Sequence[int]]] = {}
-        for p in points:
-            self.add(p)
-
-    def add(self, p: Sequence[int]) -> None:
-        self.cells.setdefault((p[0] // self.side, p[1] // self.side), []).append(p)
-
-    def remove(self, p: Sequence[int]) -> None:
-        """Remove p, which must be the point most recently added to its cell."""
-        self.cells[(p[0] // self.side, p[1] // self.side)].pop()
-
-
 def lattice_circle(center: Sequence[int], s: int) -> list[Point]:
     """All lattice points at squared distance s from center, sorted by (x, y).
 

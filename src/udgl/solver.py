@@ -5,8 +5,9 @@ circle around a realized neighbour and pruning candidates against the active
 rule set. CONVENTIONAL prunes with edge-length equalities and distinctness
 only; UNIT_DISK additionally requires every non-adjacent realized pair to be
 strictly farther apart than the radius, which is what collapses the tree.
-The order is static, so a solve plans every level once, and a cell list of
-the realized points keeps the no-edge test to nearby nodes.
+The order is static, so a solve plans every level once. sub_locations keeps
+the placements that meet a level's edge constraints; solve owns a cell list
+of the realized points and runs the no-edge test there, on nearby nodes only.
 
 A solve call is sequential and mutates no process-wide state (the lattice
 circle cache is thread-safe); Problem and SolverConfig are immutable, so
@@ -23,7 +24,7 @@ from heapq import heapify, heappop, heappush
 from math import isqrt
 from typing import NamedTuple
 
-from .geometry import CellGrid, Point, circle_offsets, dist2, pairs_within
+from .geometry import Point, cell_rule, circle_offsets, dist2, pairs_within
 from .model import Problem, parse_int
 
 
@@ -193,18 +194,15 @@ def plan_levels(problem: Problem, order: list[int], excl: int) -> list[Level]:
     return plan
 
 
-def sub_locations(
-    level: Level, pos: list[Point | None], grid: CellGrid, stats: SearchStats, bound: int | None = None
-) -> list[Point]:
-    """All placements of level.node consistent with the realized set, in (x, y) order.
+def sub_locations(level: Level, pos: list[Point | None], stats: SearchStats, bound: int | None = None) -> list[Point]:
+    """The placements of level.node that meet every edge constraint, in (x, y) order.
 
-    pos[i] is node i's point while i is realized; grid holds the realized points.
-    Every point of the pivot circle counts toward stats.candidates_checked. A
-    survivor lies in [0, bound)^2 (if bound is given), has the exact length to
-    each realized neighbour, and has exactly level.expected realized points
-    within the exclusion radius.
+    pos[i] is node i's point while i is realized. Every point of the pivot circle
+    counts toward stats.candidates_checked. A placement lies in [0, bound)^2 (if
+    bound is given) and has the exact length to each realized neighbour; the
+    no-edge test is left to solve, which owns the cell list of realized points.
     """
-    _, pivot, a, offsets, checks, expected = level
+    _, pivot, a, offsets, checks, _ = level
     cx, cy = pos[pivot]
     stats.candidates_checked += len(offsets)
     if checks:
@@ -229,8 +227,6 @@ def sub_locations(
                 if px % n == 0 and py % n == 0:
                     offsets.append((px // n, py // n))
             offsets.sort()
-    # The grid query is inlined: a method call per candidate cost about 20% of sweep time.
-    excl, side, around, get = grid.excl, grid.side, grid.around, grid.cells.get
     out: list[Point] = []
     for dx, dy in offsets:
         x = cx + dx
@@ -244,20 +240,7 @@ def sub_locations(
             if px * px + py * py != d2:
                 break
         else:
-            kx = x // side
-            ky = y // side
-            hits = 0
-            for i, j in around:
-                for px, py in get((kx + i, ky + j), ()):
-                    px -= x
-                    py -= y
-                    if px * px + py * py <= excl:
-                        hits += 1
-                if hits > expected:
-                    break
-            else:
-                if hits == expected:
-                    out.append(Point(x, y))
+            out.append(Point(x, y))
     return out
 
 
@@ -296,20 +279,43 @@ def solve(problem: Problem, config: SolverConfig) -> SolutionSet:
     plan = plan_levels(problem, order, excl)
     n_levels = len(plan)
     pos: list[Point | None] = [problem.anchors.get(i) for i in range(problem.n_nodes)]
-    grid = CellGrid(excl, problem.anchors.values())
+    # The cell list of the realized points: the anchors, then the active path.
+    side, around = cell_rule(excl)
+    cells: dict[tuple[int, int], list[Point]] = {}
+    for p in problem.anchors.values():
+        cells.setdefault((p.x // side, p.y // side), []).append(p)
+    get = cells.get
     bound = problem.grid_side if config.enforce_bounds else None
     solutions: list[dict[int, Point]] = []
     budget = config.budget
     find_all = config.find_all
     visits = max_depth = 0
-    # it yields the candidates of level depth - 1; parents holds the
-    # suspended iterators of the levels above, whose nodes are placed.
-    it = iter(sub_locations(plan[0], pos, grid, stats, bound))
+    # it yields the edge-consistent candidates of level depth - 1, which must have
+    # expected realized points within excl; parents holds the suspended iterators
+    # of the levels above, whose nodes are placed.
+    it = iter(sub_locations(plan[0], pos, stats, bound))
+    expected = plan[0].expected
     parents = []
     depth = 1
     stopped = False
     while True:
         for point in it:
+            # The no-edge test: the realized neighbours within excl are the only
+            # realized points allowed there (and with excl = 0, distinctness).
+            x, y = point
+            kx = x // side
+            ky = y // side
+            hits = 0
+            for i, j in around:
+                for px, py in get((kx + i, ky + j), ()):
+                    px -= x
+                    py -= y
+                    if px * px + py * py <= excl:
+                        hits += 1
+                if hits > expected:
+                    break
+            if hits != expected:
+                continue
             if visits >= budget:
                 stats.budget_exhausted = stopped = True
                 break
@@ -324,20 +330,22 @@ def solve(problem: Problem, config: SolverConfig) -> SolutionSet:
                     continue
                 stopped = True
                 break
-            grid.add(point)
-            children = sub_locations(plan[depth], pos, grid, stats, bound)
+            children = sub_locations(plan[depth], pos, stats, bound)
             if children:
+                cells.setdefault((kx, ky), []).append(point)
                 parents.append(it)
                 it = iter(children)
+                expected = plan[depth].expected
                 depth += 1
                 break
-            grid.remove(point)
         else:
             if not parents:
                 break
             it = parents.pop()
             depth -= 1
-            grid.remove(pos[order[depth - 1]])
+            expected = plan[depth - 1].expected
+            x, y = pos[order[depth - 1]]
+            cells[x // side, y // side].pop()
         if stopped:
             break
     stats.instances_visited = visits

@@ -11,7 +11,7 @@ from collections import defaultdict
 
 import pytest
 
-from udgl.bench import SweepSpec, run_sweep
+from udgl.bench import SweepSpec, run_sweep, write_csv
 from udgl.cli import main
 from udgl.model import GenerationError, generate_instance, parse_file, strip_instance, write_file
 from udgl.oracle import brute_force_solutions
@@ -238,6 +238,13 @@ def test_criterion_5_radius_sweep_trend(fig5_sweep):
         f"random ordering: ratio at r/C=0.2 is {ratios[400]:.1f} (>= 3), "
         f"shrinking to {ratios[900]:.1f} at r/C=0.3",
     )
+
+
+def test_sweep_csvs_match_golden(fig4_sweep, fig5_sweep):
+    """The fig-4 and fig-5 sweep CSVs, wall_s dropped, stay byte-identical to the recorded ones."""
+    for name, sweep in (("fig4", fig4_sweep), ("fig5", fig5_sweep)):
+        got = "".join(line.rsplit(",", 1)[0] + "\n" for line in write_csv(sweep.cells).decode().splitlines())
+        assert got.encode() == (FIXTURE_DIR / f"{name}_sweep.csv").read_bytes(), name
 
 
 def test_criterion_6_memory_contract(fig4_sweep):

@@ -122,6 +122,26 @@ def test_verify_rejects_problem_as_solution(tmp_path):
     assert run("verify", inst_file, prob_file) == 2
 
 
+def test_verify_routes_on_first_line_past_comments(tmp_path, capsys):
+    inst_file = tmp_path / "a.udgl"
+    prob_file = tmp_path / "p.udgl"
+    args = ("generate", "--grid", 20, "--radius-sq", 50, "--nodes", 10, "--anchors", 3, "--seed", 1)
+    assert run(*args, "-o", inst_file) == 0
+    assert run(*args, "-o", prob_file, "--problem") == 0
+    commented = tmp_path / "c.udgl"
+    commented.write_bytes(b"# my network\n\n  # second comment\n" + inst_file.read_bytes())
+    assert run("verify", inst_file, commented) == 0
+    prob_commented = tmp_path / "pc.udgl"
+    prob_commented.write_bytes(b"# no coordinates here\n\n" + prob_file.read_bytes())
+    capsys.readouterr()
+    assert run("verify", inst_file, prob_commented) == 2
+    assert "carries no coordinates" in capsys.readouterr().err
+    sols = tmp_path / "sols.txt"
+    assert run("solve", inst_file, "--all", "-o", sols) == 0
+    sols.write_bytes(b"# udgl solutions\n\n" + sols.read_bytes())
+    assert run("verify", inst_file, sols) == 0
+
+
 def test_bench_subcommand(tmp_path, capsys):
     spec = tmp_path / "sweep.spec"
     spec.write_text(

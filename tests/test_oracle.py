@@ -12,7 +12,7 @@ from udgl.oracle import (
     reach_box,
     satisfies,
 )
-from udgl.solver import RuleSet, SolverConfig, solve, verify
+from udgl.solver import NoEligibleNodeError, Ordering, RuleSet, SolverConfig, solve, verify
 from tests.conftest import FIXTURE_DIR
 
 
@@ -75,6 +75,57 @@ def test_oracle_solver_agreement():
             assert truth in want
             counts[rules] = len(want)
         assert counts[RuleSet.UNIT_DISK] <= counts[RuleSet.CONVENTIONAL]
+
+
+def mutate(prob, rng):
+    """One random mutation of prob's edges and its kind; Problem may reject the result."""
+    edges = list(prob.edges)
+    r2, n = prob.radius_sq, prob.n_nodes
+    present = {(e.i, e.j) for e in edges}
+    absent = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in present]
+    kind = rng.choice(("drop", "change", "add") if absent else ("drop", "change"))
+    if kind == "drop":
+        edges.pop(rng.randrange(len(edges)))
+    elif kind == "change":
+        k = rng.randrange(len(edges))
+        edges[k] = edges[k]._replace(d2=rng.choice([d for d in range(1, r2 + 1) if d != edges[k].d2]))
+    else:
+        i, j = rng.choice(absent)
+        edges.append(Edge(i, j, rng.randint(1, r2)))
+    return kind, Problem(prob.n_nodes, r2, prob.anchors, tuple(edges))
+
+
+def test_oracle_solver_agreement_on_mutated_problems():
+    """Dropped, changed and spurious edges: problems that no unit disk graph need realize."""
+    rng = random.Random(77)
+    combos = [(8, 20, 5, 3), (10, 26, 5, 4), (10, 30, 6, 4), (12, 40, 7, 4), (12, 32, 6, 3), (10, 13, 6, 3),
+              (12, 18, 7, 4)]
+    rejected = disconnected = compared = unsolvable = 0
+    for k, inst in enumerate(small_instances(1000, combos, seed0=1300)):
+        try:
+            kind, mutant = mutate(strip_instance(inst), rng)
+        except ValueError:  # e.g. an anchor pair whose new d2 contradicts the positions
+            rejected += 1
+            continue
+        for rules in RuleSet:
+            want = None
+            for ordering in Ordering:
+                try:
+                    got = solve(mutant, SolverConfig(rules=rules, ordering=ordering, seed=k))
+                except NoEligibleNodeError:
+                    assert kind == "drop"
+                    with pytest.raises(ValueError, match="no edge path"):
+                        brute_force_solutions(mutant, rules)
+                    disconnected += 1
+                    continue
+                if want is None:
+                    want = canon(brute_force_solutions(mutant, rules, work_limit=10**10))
+                assert not got.stats.budget_exhausted
+                assert canon(got.solutions) == want, (kind, mutant, rules, ordering)
+                compared += 1
+                unsolvable += not want
+    assert rejected > 0 and disconnected > 0 and 0 < unsolvable < compared
+    assert compared >= 3000
 
 
 def test_reach_box_contains_every_solver_solution():

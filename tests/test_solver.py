@@ -4,7 +4,7 @@ from math import isqrt
 
 import pytest
 
-from udgl.geometry import CellGrid, circle_offsets, collinear, dist2, lattice_circle
+from udgl.geometry import cell_rule, circle_offsets, collinear, dist2, lattice_circle
 from udgl.model import Edge, GenerationError, Problem, generate_instance, strip_instance
 from udgl.solver import (
     AnchorMismatchError,
@@ -181,11 +181,16 @@ def test_realization_order_on_a_long_path():
 
 
 def first_level(prob, rules=RuleSet.UNIT_DISK):
-    """The plan of the first tree level plus the search state sub_locations sees there."""
+    """The plan of the first tree level plus the positions sub_locations sees there."""
     excl = rules.exclusion(prob.radius_sq)
     level = plan_levels(prob, realization_order(prob, Ordering.MOST_CONNECTED), excl)[0]
-    pos = [prob.anchors.get(i) for i in range(prob.n_nodes)]
-    return level, pos, CellGrid(excl, prob.anchors.values())
+    return level, [prob.anchors.get(i) for i in range(prob.n_nodes)]
+
+
+def placements(prob, rules):
+    """Every placement solve finds for the one unknown of prob, in search order."""
+    (unknown,) = prob.unknown_ids
+    return [s[unknown] for s in solve(prob, SolverConfig(rules=rules)).solutions]
 
 
 def test_sub_locations_empty_circle():
@@ -196,9 +201,9 @@ def test_sub_locations_empty_circle():
         edges=(Edge(0, 3, 3),),
     )
     stats = SearchStats()
-    level, pos, grid = first_level(prob)
+    level, pos = first_level(prob)
     assert (level.node, level.pivot, level.offsets) == (3, 0, ())
-    out = sub_locations(level, pos, grid, stats)
+    out = sub_locations(level, pos, stats)
     assert out == []
     assert stats.candidates_checked == 0  # no lattice point has squared length 3
 
@@ -212,12 +217,13 @@ def test_sub_locations_two_circle_intersection():
     )
     for rules in RuleSet:
         stats = SearchStats()
-        level, pos, grid = first_level(prob, rules)
+        level, pos = first_level(prob, rules)
         assert (level.pivot, level.checks) == (0, ((1, 25),))  # equal circles: lowest id pivots
         assert level.expected == (2 if rules is RuleSet.UNIT_DISK else 0)
-        out = sub_locations(level, pos, grid, stats)
+        out = sub_locations(level, pos, stats)
         assert out == [(5, 0)]
         assert stats.candidates_checked == 12  # the pivot circle of squared radius 25
+        assert placements(prob, rules) == [(5, 0)]
 
 
 def test_sub_locations_candidate_count_is_pivot_circle_size(fixture_f1):
@@ -227,11 +233,15 @@ def test_sub_locations_candidate_count_is_pivot_circle_size(fixture_f1):
         (len(circle_offsets(d2)), m) for m, d2 in prob.adjacency[unknown].items() if m in prob.anchors
     )
     stats = SearchStats()
-    level, pos, grid = first_level(prob)
+    level, pos = first_level(prob)
     assert (level.node, level.pivot) == (unknown, best[1])
-    out = sub_locations(level, pos, grid, stats)
+    out = sub_locations(level, pos, stats)
     assert stats.candidates_checked == best[0]
-    assert out == [fixture_f1.assignment()[unknown]]  # only the ground truth survives unit-disk rules
+    # the edges leave both flip placements; only the ground truth survives unit-disk rules
+    truth = fixture_f1.assignment()[unknown]
+    assert len(out) == 2 and truth in out
+    assert placements(prob, RuleSet.CONVENTIONAL) == out
+    assert placements(prob, RuleSet.UNIT_DISK) == [truth]
 
 
 def test_sub_locations_respects_bounds_flag():
@@ -243,10 +253,10 @@ def test_sub_locations_respects_bounds_flag():
         grid_side=4,
     )
     stats = SearchStats()
-    level, pos, grid = first_level(prob)
-    free = sub_locations(level, pos, grid, stats)
+    level, pos = first_level(prob)
+    free = sub_locations(level, pos, stats)
     assert free == [(-1, 1), (1, 1)]
-    bounded = sub_locations(level, pos, grid, stats, bound=prob.grid_side)
+    bounded = sub_locations(level, pos, stats, bound=prob.grid_side)
     assert bounded == [(1, 1)]
     assert stats.candidates_checked == 8
 
@@ -266,7 +276,7 @@ def test_cell_list_boundary(r2, e):
     """A non-neighbour at exactly r2 clashes under unit-disk rules, wherever the cells split."""
     a0 = (-13, -29)  # negative coordinates; r2 is not a perfect square
     cands = [(a0[0] + dx, a0[1] + dy) for dx, dy in circle_offsets(e)]
-    side = CellGrid(r2).side
+    side = cell_rule(r2)[0]
     crossings = 0
     for c in cands:
         for ox, oy in circle_offsets(r2):
@@ -275,13 +285,14 @@ def test_cell_list_boundary(r2, e):
             if a1 == a0 or collinear([a0, a1, a2]):
                 continue
             crossings += (c[0] // side, c[1] // side) != (a1[0] // side, a1[1] // side)
-            prob = Problem(n_nodes=4, radius_sq=r2, anchors={0: a0, 1: a1, 2: a2}, edges=(Edge(0, 3, e),))
-            level, pos, grid = first_level(prob, RuleSet.UNIT_DISK)
-            ud = sub_locations(level, pos, grid, SearchStats())
+            # anchors 0 and 1 may lie within r2 of each other; then their edge must be there
+            s01 = dist2(a0, a1)
+            edges = (Edge(0, 3, e),) + ((Edge(0, 1, s01),) if s01 <= r2 else ())
+            prob = Problem(n_nodes=4, radius_sq=r2, anchors={0: a0, 1: a1, 2: a2}, edges=edges)
+            ud = placements(prob, RuleSet.UNIT_DISK)
             assert c not in ud
             assert ud == [q for q in cands if dist2(q, a1) > r2]
-            level, pos, grid = first_level(prob, RuleSet.CONVENTIONAL)
-            conv = sub_locations(level, pos, grid, SearchStats())
+            conv = placements(prob, RuleSet.CONVENTIONAL)
             assert c in conv
             assert conv == [q for q in cands if q != a1]
     assert crossings > 0
@@ -294,9 +305,9 @@ def test_cell_list_rejects_coincident_point_under_conventional_rules():
         anchors={0: (-13, -29), 1: (-13, -24), 2: (40, 7)},  # anchor 1 sits on node 3's circle
         edges=(Edge(0, 3, 25),),
     )
-    level, pos, grid = first_level(prob, RuleSet.CONVENTIONAL)
-    out = sub_locations(level, pos, grid, SearchStats())
-    assert len(out) == 11 and (-13, -24) not in out
+    res = solve(prob, SolverConfig(rules=RuleSet.CONVENTIONAL))
+    assert [s[3] for s in res.solutions] == [q for q in lattice_circle((-13, -29), 25) if q != (-13, -24)]
+    assert (res.stats.candidates_checked, res.stats.instances_visited) == (12, 11)
 
 
 def test_deep_chain_leaves_recursion_limit_alone():
@@ -319,7 +330,8 @@ def test_deep_chain_leaves_recursion_limit_alone():
 
 
 def test_sub_locations_matches_circle_walk_reference():
-    """Every level along random paths agrees with walking the pivot circle and testing all pairs."""
+    """Every level along random paths agrees with walking the pivot circle and testing all pairs:
+    sub_locations on the edges, and solve on the one-unknown problem the level poses."""
     rng = random.Random(5)
     done = 0
     while done < 25:
@@ -335,24 +347,32 @@ def test_sub_locations_matches_circle_walk_reference():
             excl = rules.exclusion(prob.radius_sq)
             realized = dict(prob.anchors)
             pos = [realized.get(i) for i in range(prob.n_nodes)]
-            grid = CellGrid(excl, realized.values())
             for level in plan_levels(prob, order, excl):
                 adj = prob.adjacency[level.node]
+                circle = lattice_circle(realized[level.pivot], level.pivot_d2)
+                edge_ok = [
+                    c for c in circle if all(dist2(c, realized[m]) == d2 for m, d2 in adj.items() if m in realized)
+                ]
+                assert sub_locations(level, pos, SearchStats()) == edge_ok
                 expected = [
                     c
-                    for c in lattice_circle(realized[level.pivot], level.pivot_d2)
+                    for c in circle
                     if c not in realized.values()
                     and all(
                         dist2(c, q) == adj[m] if m in adj else dist2(c, q) > excl
                         for m, q in realized.items()
                     )
                 ]
-                out = sub_locations(level, pos, grid, SearchStats())
+                # the realized nodes become anchors 0..k-1 and level.node becomes node k
+                ids = {m: k for k, m in enumerate(realized)}
+                ids[level.node] = len(realized)
+                edges = tuple(Edge(*sorted((ids[i], ids[j])), d2) for i, j, d2 in prob.edges if i in ids and j in ids)
+                sub = Problem(len(ids), prob.radius_sq, {ids[m]: q for m, q in realized.items()}, edges)
+                out = placements(sub, rules)
                 assert out == expected
                 if not out:
                     break
                 pos[level.node] = realized[level.node] = rng.choice(out)
-                grid.add(realized[level.node])
 
 
 def test_enforce_bounds_requires_grid():
