@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, TextIO
 
-from .model import GenerationError, Instance, generate_instance, parse_int, strip_instance
+from .model import GenerationError, Instance, decode_text, generate_instance, parse_int, strip_instance
 from .solver import Ordering, RuleSet, SolutionSet, SolverConfig, solve
 
 CSV_HEADER = (
@@ -94,11 +94,12 @@ def run_sweep(
     """
     if log is None:
         log = sys.stderr
-    instances: dict[tuple[int, int, int], Instance | None] = {}
     results: list[CellResult] = []
     for radius_sq in spec.radius_sq_values:
         for n_anchors in spec.anchor_counts:
             n_unknowns = spec.n_nodes - n_anchors
+            # Trial t's instance, shared by this group's rule sets and orderings only.
+            instances: dict[int, Instance | None] = {}
             for rules in spec.rule_sets:
                 for ordering in spec.orderings:
                     sum_visits = 0.0
@@ -108,16 +109,15 @@ def run_sweep(
                     gen_failed = 0
                     wall = 0.0
                     for t in range(spec.trials):
-                        key = (radius_sq, n_anchors, t)
-                        if key not in instances:
+                        if t not in instances:
                             try:
-                                instances[key] = generate_instance(
+                                instances[t] = generate_instance(
                                     spec.grid_side, radius_sq, spec.n_nodes, n_anchors,
                                     seed=spec.base_seed + t,
                                 )
                             except GenerationError:
-                                instances[key] = None
-                        inst = instances[key]
+                                instances[t] = None
+                        inst = instances[t]
                         if inst is None:
                             gen_failed += 1
                             continue
@@ -225,10 +225,8 @@ def parse_sweep_spec(text: bytes | str) -> SweepSpec:
     Optional keys with defaults: rule_sets, orderings, trials, base_seed,
     budget, find_all.
     """
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
     values: dict[str, str] = {}
-    for no, raw in enumerate(text.splitlines(), 1):
+    for no, raw in enumerate(decode_text(text).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -29,12 +29,24 @@ class GenerationError(Exception):
     """No valid instance was found within the resampling attempt budget."""
 
 
-class ParseError(Exception):
-    """A udgl file could not be parsed; carries the offending line number."""
+class ParseError(ValueError):
+    """A udgl file could not be parsed, or any parsed text is not UTF-8; carries the offending line number."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line is not None else message)
+
+
+def decode_text(data: bytes | str) -> str:
+    """data as text; invalid UTF-8 is a ParseError naming its line and byte."""
+    if not isinstance(data, (bytes, bytearray)):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bytes before the first bad one decode; a line count past them finds its line.
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line) from None
 
 
 def parse_int(token: str) -> int:
@@ -328,13 +340,7 @@ def parse_file(data: bytes | str) -> Instance | Problem:
     The rows are read in one pass. A ground-truth file's edge list must then equal,
     in one comparison, the edges its positions imply.
     """
-    if isinstance(data, (bytes, bytearray)):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            # The bytes before the first bad one decode; a line count past them finds its line.
-            line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
-            raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line) from None
+    data = decode_text(data)
     rows = ((no, s) for no, raw in enumerate(data.splitlines(), 1) if (s := raw.strip()) and s[0] != "#")
     ahead = next(rows, None)  # the next non-blank, non-comment row
 

@@ -1,10 +1,11 @@
 """Independent brute-force enumeration of all valid realizations.
 
-This module certifies the search: it enumerates unknown placements over a
-finite box by plain domain filtering (vectorized with numpy), with no circle
-pivoting and no realization ordering, and re-checks every surviving tuple
-with its own constraint loop. It shares only the geometry primitives with
-the solver.
+This module certifies the search: it places the unknowns over their
+hop-bounded reach boxes by plain domain filtering (vectorized with numpy),
+with no circle pivoting and no realization ordering. One mask function states
+the constraints against a set of placed points, and every surviving tuple is
+re-checked over all pairs by `satisfies`. A work limit bounds the candidate
+points examined. It shares only the geometry primitives with the solver.
 """
 
 from __future__ import annotations
@@ -104,74 +105,67 @@ def satisfies(problem: Problem, assignment: dict[int, Point], rules: RuleSet) ->
     return True
 
 
-def brute_force_solutions(
-    problem: Problem,
-    rules: RuleSet,
-    search_box: SearchBox | None = None,
-    max_unknowns: int = 4,
-    work_limit: int = 10**9,
-) -> list[dict[int, Point]]:
-    """Every complete valid assignment, by exhaustive placement over a box.
+def _fits(
+    px: np.ndarray, py: np.ndarray, placed: dict[int, Point], lengths: dict[int, int], excl: int
+) -> np.ndarray:
+    """Which candidate points (px, py) meet every constraint against the placed points.
 
-    With no explicit search_box, each unknown gets its hop-bounded reach box,
-    which provably contains it in any valid realization; an explicit box is
-    applied to every unknown as-is. Candidate domains are pre-filtered by the
-    anchor constraints, the remaining product is enumerated with incremental
-    pairwise filtering, and each complete tuple is confirmed by the
-    independent full-pair check. Results are in canonical order (sorted by
-    the unknown coordinates in id order).
-
-    Raises CapExceededError when the product of raw domain sizes exceeds
-    work_limit, and ValueError beyond max_unknowns unknowns.
+    A placed neighbour (one in lengths) fixes the squared distance exactly; any
+    other placed point must lie farther than excl, which is 0 (distinct points)
+    under conventional rules and radius_sq under unit-disk rules.
     """
-    unknowns = [i for i in range(problem.n_nodes) if i not in problem.anchors]
-    if len(unknowns) > max_unknowns:
-        raise ValueError(f"{len(unknowns)} unknowns exceed the cap of {max_unknowns}")
+    mask = np.ones(px.shape, dtype=bool)
+    for v, (vx, vy) in placed.items():
+        s = (px - vx) ** 2 + (py - vy) ** 2
+        d2 = lengths.get(v)
+        mask &= s == d2 if d2 is not None else s > excl
+    return mask
 
+
+def brute_force_solutions(problem: Problem, rules: RuleSet, work_limit: int = 10**9) -> list[dict[int, Point]]:
+    """Every complete valid assignment, by exhaustive placement over reach boxes.
+
+    Each unknown's candidates are the points of its hop-bounded reach box,
+    which provably contains it in any valid realization, that meet every
+    anchor constraint. Unknowns are then placed one at a time, smallest domain
+    first, each domain filtered against the unknowns placed so far, and each
+    complete tuple is confirmed by the independent full-pair check. Results
+    are in canonical order (sorted by the unknown coordinates in id order).
+
+    work_limit bounds the candidate points examined: every reach-box point,
+    plus every domain point each time an unknown is placed. Passing it raises
+    CapExceededError, as does a reach box of more than 50M points.
+    """
+    unknowns = problem.unknown_ids
     base = dict(problem.anchors)
     if not unknowns:
         return [base] if satisfies(problem, base, rules) else []
 
-    if search_box is None:
-        hops = _hop_counts(problem)
-        boxes = {u: reach_box(problem, u, hops) for u in unknowns}
-    else:
-        boxes = {u: search_box for u in unknowns}
-    total = 1
-    for u in unknowns:
-        if boxes[u].n_points == 0:
-            return []
-        if boxes[u].n_points > 50_000_000:
-            raise CapExceededError(f"search box for node {u} spans {boxes[u].n_points} points")
-        total *= boxes[u].n_points
-    if total > work_limit:
-        raise CapExceededError(f"{total} placement tuples exceed the work limit of {work_limit}")
-
     adj = problem.adjacency
-    r2 = problem.radius_sq
-    ud = rules is RuleSet.UNIT_DISK
+    excl = problem.radius_sq if rules is RuleSet.UNIT_DISK else 0
+    examined = 0
+
+    def examine(n_points: int) -> None:
+        nonlocal examined
+        examined += n_points
+        if examined > work_limit:
+            raise CapExceededError(f"more than {work_limit} candidate points examined")
 
     # Per-unknown domains filtered by every anchor constraint.
+    hops = _hop_counts(problem)
     domains: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for u in unknowns:
-        box = boxes[u]
+        box = reach_box(problem, u, hops)
+        if box.n_points > 50_000_000:
+            raise CapExceededError(f"search box for node {u} spans {box.n_points} points")
+        examine(box.n_points)
         gx, gy = np.meshgrid(
             np.arange(box.xmin, box.xmax + 1, dtype=np.int64),
             np.arange(box.ymin, box.ymax + 1, dtype=np.int64),
             indexing="ij",
         )
-        px = gx.ravel()
-        py = gy.ravel()
-        mask = np.ones(px.shape, dtype=bool)
-        for a, (ax, ay) in problem.anchors.items():
-            s = (px - ax) ** 2 + (py - ay) ** 2
-            e = adj[u].get(a)
-            if e is not None:
-                mask &= s == e
-            else:
-                mask &= s != 0
-                if ud:
-                    mask &= s > r2
+        px, py = gx.ravel(), gy.ravel()
+        mask = _fits(px, py, problem.anchors, adj[u], excl)
         domains[u] = (px[mask], py[mask])
 
     order = sorted(unknowns, key=lambda u: (len(domains[u][0]), u))
@@ -181,16 +175,8 @@ def brute_force_solutions(
     def extend(idx: int) -> None:
         u = order[idx]
         dx, dy = domains[u]
-        mask = np.ones(dx.shape, dtype=bool)
-        for v, (vx, vy) in chosen.items():
-            s = (dx - vx) ** 2 + (dy - vy) ** 2
-            e = adj[u].get(v)
-            if e is not None:
-                mask &= s == e
-            else:
-                mask &= s != 0
-                if ud:
-                    mask &= s > r2
+        examine(len(dx))
+        mask = _fits(dx, dy, chosen, adj[u], excl)
         last = idx + 1 == len(order)
         for x, y in zip(dx[mask].tolist(), dy[mask].tolist()):
             chosen[u] = Point(x, y)

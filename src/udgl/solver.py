@@ -25,7 +25,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from .geometry import Point, cell_rule, circle_offsets, dist2, pairs_within
-from .model import Problem, parse_int
+from .model import Problem, decode_text, parse_int
 
 
 class RuleSet(Enum):
@@ -423,7 +423,7 @@ def format_solution_set(result: SolutionSet, n_nodes: int) -> bytes:
 
 def parse_solutions(data: bytes | str) -> list[dict[int, Point]]:
     """Parse the solution text format back into assignments (stat lines are checked, not returned)."""
-    text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
+    text = decode_text(data)
     rows = [line.split() for line in text.splitlines() if line.strip() and not line.lstrip().startswith("#")]
     if not rows or rows[0][0] != "solutions" or len(rows[0]) != 2:
         raise ValueError("solution file must start with a 'solutions <k>' line")

@@ -1,5 +1,7 @@
+import gc
 import io
 import math
+import weakref
 
 import pytest
 
@@ -13,7 +15,7 @@ from udgl.bench import (
     write_csv,
     _fmt,
 )
-from udgl.model import generate_instance, strip_instance
+from udgl.model import ParseError, generate_instance, strip_instance
 from udgl.solver import Ordering, RuleSet, SolverConfig, solve
 
 
@@ -79,6 +81,23 @@ def test_instances_are_shared_across_rules_and_orderings():
     for insts in by_trial.values():
         assert len(insts) == 4  # 2 rule sets x 2 orderings
         assert all(i == insts[0] for i in insts)
+
+
+def test_instances_die_with_their_group():
+    """A finished (radius, anchors) group's instances are not kept alive for the rest of the sweep."""
+    first_group = []
+    dead_at_next_group = []
+
+    def hook(inst, cfg, t, res):
+        if inst.radius_sq == 40:
+            first_group.append(weakref.ref(inst))
+        elif not dead_at_next_group:
+            gc.collect()
+            dead_at_next_group.append([r() is None for r in first_group])
+
+    run_sweep(tiny_spec(radius_sq_values=(40, 50), trials=3), on_result=hook, log=io.StringIO())
+    assert len(first_group) == 6  # 3 trials x 2 rule sets
+    assert dead_at_next_group == [[True] * 6]
 
 
 def test_paired_invariant_per_trial():
@@ -217,6 +236,12 @@ def test_parse_sweep_spec_defaults_and_errors():
         parse_sweep_spec(minimal + "rule_sets euclid\n")
     with pytest.raises(ValueError, match="duplicate key"):
         parse_sweep_spec(minimal + "grid_side 21\n")
+
+
+def test_parse_sweep_spec_reports_invalid_utf8_at_its_line():
+    with pytest.raises(ParseError, match=r"^line 3: invalid UTF-8 byte 0xfe$") as info:
+        parse_sweep_spec(b"grid_side 20\nn_nodes 10\n# caf\xfe\nradius_sq_values 50\nanchor_counts 3\n")
+    assert isinstance(info.value, ValueError) and info.value.line == 3
 
 
 @pytest.mark.parametrize(

@@ -122,6 +122,13 @@ def test_verify_rejects_problem_as_solution(tmp_path):
     assert run("verify", inst_file, prob_file) == 2
 
 
+def test_verify_reports_invalid_utf8_in_solution_file_as_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.sol"
+    bad.write_bytes(b"solutions 1\nsol 0\nnode 0 1 \xff\n")
+    assert run("verify", FIXTURE_DIR / "fixture_f1.udgl", bad) == 2
+    assert "udgl: parse error: line 3: invalid UTF-8 byte 0xff" in capsys.readouterr().err
+
+
 def test_verify_routes_on_first_line_past_comments(tmp_path, capsys):
     inst_file = tmp_path / "a.udgl"
     prob_file = tmp_path / "p.udgl"

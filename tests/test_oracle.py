@@ -6,7 +6,6 @@ from udgl.model import Edge, GenerationError, Problem, generate_instance, strip_
 from udgl.oracle import (
     CapExceededError,
     FixtureNotFoundError,
-    SearchBox,
     brute_force_solutions,
     find_fixture_f1,
     reach_box,
@@ -63,14 +62,15 @@ def test_find_fixture_f1_not_found_on_tiny_grids():
 
 
 def test_oracle_solver_agreement():
-    combos = [(8, 18, 4, 3), (10, 26, 5, 4), (12, 40, 7, 4), (10, 13, 6, 3), (12, 18, 7, 4)]
+    combos = [(8, 18, 4, 3), (10, 26, 5, 4), (12, 40, 7, 4), (10, 13, 6, 3), (12, 18, 7, 4), (12, 18, 7, 3),
+              (10, 26, 7, 3)]
     for inst in small_instances(60, combos, seed0=500):
         prob = strip_instance(inst)
         truth = inst.assignment()
         counts = {}
         for rules in RuleSet:
             got = solve(prob, SolverConfig(rules=rules))
-            want = brute_force_solutions(prob, rules, work_limit=10**10)
+            want = brute_force_solutions(prob, rules)
             assert canon(got.solutions) == canon(want)
             assert truth in want
             counts[rules] = len(want)
@@ -99,7 +99,7 @@ def test_oracle_solver_agreement_on_mutated_problems():
     """Dropped, changed and spurious edges: problems that no unit disk graph need realize."""
     rng = random.Random(77)
     combos = [(8, 20, 5, 3), (10, 26, 5, 4), (10, 30, 6, 4), (12, 40, 7, 4), (12, 32, 6, 3), (10, 13, 6, 3),
-              (12, 18, 7, 4)]
+              (12, 18, 7, 4), (12, 18, 7, 3), (10, 26, 7, 3)]
     rejected = disconnected = compared = unsolvable = 0
     for k, inst in enumerate(small_instances(1000, combos, seed0=1300)):
         try:
@@ -119,7 +119,7 @@ def test_oracle_solver_agreement_on_mutated_problems():
                     disconnected += 1
                     continue
                 if want is None:
-                    want = canon(brute_force_solutions(mutant, rules, work_limit=10**10))
+                    want = canon(brute_force_solutions(mutant, rules))
                 assert not got.stats.budget_exhausted
                 assert canon(got.solutions) == want, (kind, mutant, rules, ordering)
                 compared += 1
@@ -139,26 +139,17 @@ def test_reach_box_contains_every_solver_solution():
                     assert reach_box(prob, u).contains(sol[u])
 
 
-def test_explicit_search_box_restricts_enumeration(fixture_f1):
-    prob = strip_instance(fixture_f1)
-    full = brute_force_solutions(prob, RuleSet.CONVENTIONAL)
-    assert len(full) == 2
-    truth = fixture_f1.assignment()
-    u = prob.unknown_ids[0]
-    tight = SearchBox(truth[u].x, truth[u].y, truth[u].x, truth[u].y)
-    only_truth = brute_force_solutions(prob, RuleSet.CONVENTIONAL, search_box=tight)
-    assert only_truth == [truth]
-
-
 def test_unknown_cap_and_work_limit():
+    """No cap on the unknowns: five are certified; only the points examined are capped."""
     inst = next(iter(small_instances(1, [(10, 30, 9, 4)], seed0=50)))
-    prob = strip_instance(inst)  # five unknowns
-    with pytest.raises(ValueError):
-        brute_force_solutions(prob, RuleSet.UNIT_DISK)
-    inst2 = next(iter(small_instances(1, [(10, 30, 7, 4)], seed0=60)))
-    prob2 = strip_instance(inst2)
-    with pytest.raises(CapExceededError):
-        brute_force_solutions(prob2, RuleSet.UNIT_DISK, work_limit=10)
+    prob = strip_instance(inst)
+    assert len(prob.unknown_ids) == 5
+    for rules in RuleSet:
+        want = brute_force_solutions(prob, rules)
+        assert inst.assignment() in want
+        assert canon(solve(prob, SolverConfig(rules=rules)).solutions) == canon(want)
+    with pytest.raises(CapExceededError, match="more than 10 candidate points"):
+        brute_force_solutions(prob, RuleSet.UNIT_DISK, work_limit=10)
 
 
 def test_satisfies_cross_checks_verify():

@@ -5,7 +5,7 @@ from math import isqrt
 import pytest
 
 from udgl.geometry import cell_rule, circle_offsets, collinear, dist2, lattice_circle
-from udgl.model import Edge, GenerationError, Problem, generate_instance, strip_instance
+from udgl.model import Edge, GenerationError, ParseError, Problem, generate_instance, strip_instance
 from udgl.solver import (
     AnchorMismatchError,
     MissingNodeError,
@@ -656,6 +656,12 @@ def test_parse_solutions_rejects_malformed():
         parse_solutions("solutions 2\nsol 0\nnode 0 1 2\n")
     with pytest.raises(ValueError):
         parse_solutions("solutions 1\nsol 0\nnode 0 1 2\nnode 0 1 3\n")
+
+
+def test_parse_solutions_reports_invalid_utf8_at_its_line():
+    with pytest.raises(ParseError, match=r"^line 3: invalid UTF-8 byte 0xff$") as info:
+        parse_solutions(b"solutions 1\nsol 0\nnode 0 1 \xff\n")
+    assert isinstance(info.value, ValueError) and info.value.line == 3
 
 
 @pytest.mark.parametrize(
