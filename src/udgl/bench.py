@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass
-from enum import Enum
-from typing import Callable, TextIO
+from dataclasses import MISSING, dataclass, fields
+from typing import Callable, TextIO, get_args, get_origin, get_type_hints
 
-from .model import GenerationError, Instance, decode_text, generate_instance, parse_int, strip_instance
+from .model import GenerationError, Instance, ParseError, generate_instance, parse_int, strip_instance, text_rows
 from .solver import Ordering, RuleSet, SolutionSet, SolverConfig, solve
 
 CSV_HEADER = (
@@ -57,6 +56,9 @@ class SweepSpec:
             raise ValueError("radius_sq_values and anchor_counts must be non-empty")
         if not self.rule_sets or not self.orderings:
             raise ValueError("rule_sets and orderings must be non-empty")
+        for r2 in self.radius_sq_values:
+            if r2 < 1:
+                raise ValueError(f"radius_sq value {r2} must be >= 1")
         for m in self.anchor_counts:
             if not 3 <= m < self.n_nodes:
                 raise ValueError(f"anchor count {m} outside [3, {self.n_nodes})")
@@ -219,67 +221,50 @@ def write_csv(results: list[CellResult]) -> bytes:
 
 
 def parse_sweep_spec(text: bytes | str) -> SweepSpec:
-    """Parse a sweep spec file mirroring the SweepSpec fields.
+    """Parse a sweep spec file: one `key value` row per SweepSpec field.
 
-    Required keys: grid_side, n_nodes, radius_sq_values, anchor_counts.
-    Optional keys with defaults: rule_sets, orderings, trials, base_seed,
-    budget, find_all.
+    The keys, which of them are required and the defaults of the rest are SweepSpec's
+    fields. Tuple fields take comma-separated items; find_all takes 0, 1, true or false.
+    Rows follow the line grammar shared by every udgl text (model.text_rows) and its
+    integer rule (model.parse_int). Every fault in a row is a ParseError naming its
+    line; a missing required key, or values SweepSpec rejects, is a ParseError too.
     """
-    values: dict[str, str] = {}
-    for no, raw in enumerate(decode_text(text).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    spec_fields = {f.name: f for f in fields(SweepSpec)}
+    types = get_type_hints(SweepSpec)
+    kwargs: dict = {}
+    for no, line in text_rows(text):
         parts = line.split(None, 1)
         if len(parts) != 2:
-            raise ValueError(f"spec line {no}: expected 'key value', got {line!r}")
-        key, value = parts
-        if key in values:
-            raise ValueError(f"spec line {no}: duplicate key {key!r}")
-        values[key] = value
-
-    def want(key: str) -> str:
-        if key not in values:
-            raise ValueError(f"spec is missing required key {key!r}")
-        return values.pop(key)
-
-    def int_list(raw: str, key: str) -> tuple[int, ...]:
-        try:
-            return tuple(parse_int(v.strip()) for v in raw.split(","))
-        except ValueError:
-            raise ValueError(f"spec key {key!r} must be comma-separated integers, got {raw!r}") from None
-
-    kwargs: dict = {
-        "grid_side": parse_int(want("grid_side")),
-        "n_nodes": parse_int(want("n_nodes")),
-        "radius_sq_values": int_list(want("radius_sq_values"), "radius_sq_values"),
-        "anchor_counts": int_list(want("anchor_counts"), "anchor_counts"),
-    }
-    if "rule_sets" in values:
-        kwargs["rule_sets"] = tuple(
-            _parse_token(v, RuleSet, "rule set") for v in values.pop("rule_sets").split(",")
-        )
-    if "orderings" in values:
-        kwargs["orderings"] = tuple(
-            _parse_token(v, Ordering, "ordering") for v in values.pop("orderings").split(",")
-        )
-    for key in ("trials", "base_seed", "budget"):
-        if key in values:
-            kwargs[key] = parse_int(values.pop(key))
-    if "find_all" in values:
-        raw = values.pop("find_all").lower()
-        if raw not in ("0", "1", "true", "false"):
-            raise ValueError(f"spec key 'find_all' must be 0/1/true/false, got {raw!r}")
-        kwargs["find_all"] = raw in ("1", "true")
-    if values:
-        raise ValueError(f"spec contains unknown key(s): {sorted(values)}")
-    return SweepSpec(**kwargs)
-
-
-def _parse_token(raw: str, kind: type[Enum], what: str):
-    token = raw.strip()
+            raise ParseError(f"expected 'key value', got {parts[0]!r} alone", no)
+        key, raw = parts
+        if key not in spec_fields:
+            raise ParseError(f"unknown key {key!r} (expected one of {sorted(spec_fields)})", no)
+        if key in kwargs:
+            raise ParseError(f"duplicate key {key!r}", no)
+        kwargs[key] = _spec_value(types[key], raw, no, key)
+    for name, f in spec_fields.items():
+        if f.default is MISSING and name not in kwargs:
+            raise ParseError(f"spec is missing required key {name!r}")
     try:
-        return kind(token)
+        return SweepSpec(**kwargs)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def _spec_value(kind: type, raw: str, no: int, what: str):
+    """The value of a spec row's raw text for a field of type kind (a tuple's items are
+    named by the singular of the key: 'rule_sets' items are 'rule set's)."""
+    if get_origin(kind) is tuple:
+        item = what.removesuffix("s").replace("_", " ")
+        return tuple(_spec_value(get_args(kind)[0], v.strip(), no, item) for v in raw.split(","))
+    if kind is int:
+        return parse_int(raw, no, what)
+    if kind is bool:
+        if raw.lower() not in ("0", "1", "true", "false"):
+            raise ParseError(f"{what} must be 0, 1, true or false, got {raw!r}", no)
+        return raw.lower() in ("1", "true")
+    try:
+        return kind(raw)
     except ValueError:
         expected = sorted(k.value for k in kind)
-        raise ValueError(f"unknown {what} {token!r} (expected one of {expected})") from None
+        raise ParseError(f"unknown {what} {raw!r} (expected one of {expected})", no) from None

@@ -16,10 +16,12 @@ from .model import (
     Instance,
     ParseError,
     Problem,
+    decode_text,
     generate_instance,
     parse_file,
     parse_int,
     strip_instance,
+    text_rows,
     write_file,
 )
 from .oracle import CapExceededError, FixtureNotFoundError, find_fixture_f1
@@ -134,15 +136,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     problem = _load_problem(args.problem_file)
-    data = Path(args.solution_file).read_bytes()
-    first = next((s for s in (line.strip() for line in data.splitlines()) if s and s[:1] != b"#"), b"")
-    if first.startswith(b"udgl"):
-        obj = parse_file(data)
+    text = decode_text(Path(args.solution_file).read_bytes())
+    if next(text_rows(text), (None, ""))[1].startswith("udgl"):
+        obj = parse_file(text)
         if isinstance(obj, Problem):
             raise ValueError("solution file carries no coordinates for the unknowns")
         assignments = [obj.assignment()]
     else:
-        assignments = parse_solutions(data)
+        assignments = parse_solutions(text)
     if not assignments:
         raise ValueError("solution file contains no assignments")
     rules = RuleSet(args.rules)

@@ -12,7 +12,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .geometry import Point, check_point, collinear, dist2, pairs_within
 
@@ -49,12 +49,25 @@ def decode_text(data: bytes | str) -> str:
         raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line) from None
 
 
-def parse_int(token: str) -> int:
-    """The value of an ASCII integer token -?[0-9]+. Anything else that Python's
-    int() would take (underscores, a plus sign, non-ASCII digits) is a ValueError."""
-    if not (token.isascii() and token.removeprefix("-").isdigit()):
-        raise ValueError(f"not an integer: {token!r}")
-    return int(token)
+def text_rows(data: bytes | str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each line that is neither blank nor a '#' comment:
+    the line grammar of every udgl text (instance, problem, solution and sweep-spec files)."""
+    for no, raw in enumerate(decode_text(data).splitlines(), 1):
+        if (s := raw.strip()) and s[0] != "#":
+            yield no, s
+
+
+def parse_int(token: str, line: int | None = None, what: str | None = None) -> int:
+    """The value of an ASCII integer token -?[0-9]+. Anything else int() would take (underscores,
+    a plus sign, non-ASCII digits) or cannot convert (too many digits) is a ParseError naming
+    the field what and the line; it quotes at most 20 characters of the token."""
+    if token.isascii() and token.removeprefix("-").isdigit():
+        try:
+            return int(token)
+        except ValueError:  # beyond sys.get_int_max_str_digits()
+            pass
+    shown = repr(token) if len(token) <= 20 else f"{token[:20]!r}... ({len(token)} characters)"
+    raise ParseError(f"invalid {what}: {shown}" if what else f"not an integer: {shown}", line)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +353,7 @@ def parse_file(data: bytes | str) -> Instance | Problem:
     The rows are read in one pass. A ground-truth file's edge list must then equal,
     in one comparison, the edges its positions imply.
     """
-    data = decode_text(data)
-    rows = ((no, s) for no, raw in enumerate(data.splitlines(), 1) if (s := raw.strip()) and s[0] != "#")
+    rows = text_rows(data)
     ahead = next(rows, None)  # the next non-blank, non-comment row
 
     def take(keyword: str, n_args: int | tuple[int, ...]) -> tuple[int, list[str]]:
@@ -357,16 +369,10 @@ def parse_file(data: bytes | str) -> Instance | Problem:
             raise ParseError(f"'{keyword}' line has {len(toks) - 1} fields, expected {allowed}", no)
         return no, toks
 
-    def intval(tok: str, no: int, what: str) -> int:
-        try:
-            return parse_int(tok)
-        except ValueError:
-            raise ParseError(f"invalid {what}: {tok!r}", no) from None
-
     def edge_ints(no: int, toks: list[str]) -> tuple[int, int, int]:
-        i = intval(toks[0], no, "edge endpoint")
-        j = intval(toks[1], no, "edge endpoint")
-        return i, j, intval(toks[2], no, "squared edge length")
+        i = parse_int(toks[0], no, "edge endpoint")
+        j = parse_int(toks[1], no, "edge endpoint")
+        return i, j, parse_int(toks[2], no, "squared edge length")
 
     no, toks = take("udgl", 1)
     if toks[1] != "1":
@@ -375,17 +381,17 @@ def parse_file(data: bytes | str) -> Instance | Problem:
     grid: int | None = None
     if ahead is not None and ahead[1].split(None, 1)[0] == "grid":
         no, toks = take("grid", 1)
-        grid = intval(toks[1], no, "grid side")
+        grid = parse_int(toks[1], no, "grid side")
         if grid < 1:
             raise ParseError("grid side must be positive", no)
 
     no, toks = take("radius_sq", 1)
-    radius_sq = intval(toks[1], no, "squared radius")
+    radius_sq = parse_int(toks[1], no, "squared radius")
     if radius_sq < 1:
         raise ParseError("radius_sq must be positive", no)
 
     no, toks = take("nodes", 1)
-    n = intval(toks[1], no, "node count")
+    n = parse_int(toks[1], no, "node count")
     if n < 1:
         raise ParseError("node count must be positive", no)
 
@@ -394,7 +400,7 @@ def parse_file(data: bytes | str) -> Instance | Problem:
     first_at: dict[Point, int] = {}
     for _ in range(n):
         no, toks = take("node", (2, 4))
-        node_id = intval(toks[1], no, "node id")
+        node_id = parse_int(toks[1], no, "node id")
         if not 0 <= node_id < n:
             raise ParseError(f"node id {node_id} out of range [0, {n})", no)
         if node_id in kinds:
@@ -404,8 +410,8 @@ def parse_file(data: bytes | str) -> Instance | Problem:
             raise ParseError(f"node kind must be 'anchor' or 'unknown', got {kind!r}", no)
         kinds[node_id] = kind
         if len(toks) == 5:
-            x = intval(toks[3], no, "x coordinate")
-            y = intval(toks[4], no, "y coordinate")
+            x = parse_int(toks[3], no, "x coordinate")
+            y = parse_int(toks[4], no, "y coordinate")
             try:
                 p = check_point((x, y))
             except ValueError as exc:
@@ -428,7 +434,7 @@ def parse_file(data: bytes | str) -> Instance | Problem:
         )
 
     no, toks = take("edges", 1)
-    n_edges = intval(toks[1], no, "edge count")
+    n_edges = parse_int(toks[1], no, "edge count")
     if n_edges < 0:
         raise ParseError("edge count must be non-negative", no)
 
@@ -442,7 +448,7 @@ def parse_file(data: bytes | str) -> Instance | Problem:
             ahead = next(rows, None)
             try:
                 i, j, d2 = int(m[1]), int(m[2]), int(m[3])
-            except ValueError:  # more digits than int() converts; edge_ints words the error
+            except ValueError:  # more digits than int() converts; parse_int words the error
                 i, j, d2 = edge_ints(no, m.groups())
         else:  # take and edge_ints word the error
             no, toks = take("edge", 3)

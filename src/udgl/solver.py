@@ -25,7 +25,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from .geometry import Point, cell_rule, circle_offsets, dist2, pairs_within
-from .model import Problem, decode_text, parse_int
+from .model import ParseError, Problem, parse_int, text_rows
 
 
 class RuleSet(Enum):
@@ -422,33 +422,40 @@ def format_solution_set(result: SolutionSet, n_nodes: int) -> bytes:
 
 
 def parse_solutions(data: bytes | str) -> list[dict[int, Point]]:
-    """Parse the solution text format back into assignments (stat lines are checked, not returned)."""
-    text = decode_text(data)
-    rows = [line.split() for line in text.splitlines() if line.strip() and not line.lstrip().startswith("#")]
-    if not rows or rows[0][0] != "solutions" or len(rows[0]) != 2:
-        raise ValueError("solution file must start with a 'solutions <k>' line")
-    count = parse_int(rows[0][1])
+    """Parse the solution text format back into assignments (stat lines are checked, not returned).
+
+    Rows follow the udgl line grammar (model.text_rows, model.parse_int). Every fault is a
+    ParseError at its line; a count that the 'sol' blocks disagree with names the 'solutions' line.
+    """
+    rows = text_rows(data)
+    head_no, head = next(rows, (None, ""))
+    toks = head.split()
+    if toks[:1] != ["solutions"] or len(toks) != 2:
+        raise ParseError("solution file must start with a 'solutions <k>' line", head_no)
+    count = parse_int(toks[1], head_no, "solution count")
     out: list[dict[int, Point]] = []
     current: dict[int, Point] | None = None
-    for toks in rows[1:]:
-        if toks[0] == "sol":
-            if len(toks) != 2 or parse_int(toks[1]) != len(out):
-                raise ValueError(f"unexpected solution index in {' '.join(toks)!r}")
+    for no, line in rows:
+        kind, *args = line.split()
+        n_fields = {"sol": 1, "node": 3, "stat": 2}.get(kind)
+        if n_fields is None:
+            raise ParseError(f"unexpected keyword {kind!r}", no)
+        if len(args) != n_fields:
+            raise ParseError(f"'{kind}' line has {len(args)} fields, expected {n_fields}", no)
+        if kind == "sol":
+            if parse_int(args[0], no, "solution index") != len(out):
+                raise ParseError(f"expected 'sol {len(out)}'", no)
             current = {}
             out.append(current)
-        elif toks[0] == "node":
-            if current is None or len(toks) != 4:
-                raise ValueError(f"malformed node line {' '.join(toks)!r}")
-            node_id = parse_int(toks[1])
+        elif kind == "node":
+            if current is None:
+                raise ParseError("'node' line before the first 'sol' line", no)
+            node_id = parse_int(args[0], no, "node id")
             if node_id in current:
-                raise ValueError(f"duplicate node {node_id} in solution {len(out) - 1}")
-            current[node_id] = Point(parse_int(toks[2]), parse_int(toks[3]))
-        elif toks[0] == "stat":
-            if len(toks) != 3:
-                raise ValueError(f"malformed stat line {' '.join(toks)!r}")
-            parse_int(toks[2])
+                raise ParseError(f"duplicate node {node_id} in solution {len(out) - 1}", no)
+            current[node_id] = Point(parse_int(args[1], no, "x coordinate"), parse_int(args[2], no, "y coordinate"))
         else:
-            raise ValueError(f"unexpected line {' '.join(toks)!r}")
+            parse_int(args[1], no, "stat value")
     if len(out) != count:
-        raise ValueError(f"file declares {count} solutions but contains {len(out)}")
+        raise ParseError(f"file declares {count} solutions but contains {len(out)}", head_no)
     return out

@@ -1,7 +1,7 @@
 """Acceptance criteria, one test per criterion.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line per
-criterion. The two sweep fixtures dominate the runtime (about 85 s total).
+criterion. The two sweep fixtures dominate the runtime (about 80 s total).
 """
 
 import io

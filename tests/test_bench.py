@@ -53,6 +53,13 @@ def test_spec_validation():
         tiny_spec(radius_sq_values=())
 
 
+def test_bad_radius_fails_before_any_cell_runs():
+    calls = []
+    with pytest.raises(ValueError, match="radius_sq value 0 must be >= 1"):
+        run_sweep(tiny_spec(radius_sq_values=(40, 0)), on_result=lambda *a: calls.append(a), log=io.StringIO())
+    assert calls == []
+
+
 def test_single_trial_cell_echoes_solve_stats():
     spec = tiny_spec(trials=1, rule_sets=(RuleSet.UNIT_DISK,))
     [cell] = run_sweep(spec, log=io.StringIO())
@@ -242,6 +249,25 @@ def test_parse_sweep_spec_reports_invalid_utf8_at_its_line():
     with pytest.raises(ParseError, match=r"^line 3: invalid UTF-8 byte 0xfe$") as info:
         parse_sweep_spec(b"grid_side 20\nn_nodes 10\n# caf\xfe\nradius_sq_values 50\nanchor_counts 3\n")
     assert isinstance(info.value, ValueError) and info.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "old, new, line, message",
+    [
+        ("n_nodes 10", "n_nodes 1x", 2, "invalid n_nodes: '1x'"),
+        ("radius_sq_values 50", "radius_sq_values 50,6x", 4, "invalid radius sq value: '6x'"),
+        ("n_nodes 10", "n_nodes", 2, "expected 'key value', got 'n_nodes' alone"),
+        ("anchor_counts 3", "anchor_counts 3\nbogus 1", 6, "unknown key 'bogus'"),
+        ("anchor_counts 3", "anchor_counts 3\n\u3000\ngrid_side 21", 7, "duplicate key 'grid_side'"),
+        ("anchor_counts 3", "anchor_counts 3\norderings random,best", 6, "unknown ordering 'best'"),
+        ("anchor_counts 3", "anchor_counts 3\nfind_all maybe", 6, "find_all must be 0, 1, true or false"),
+    ],
+)
+def test_parse_sweep_spec_names_the_line_of_each_fault(old, new, line, message):
+    minimal = "grid_side 20\nn_nodes 10\n# comment\nradius_sq_values 50\nanchor_counts 3\n"
+    with pytest.raises(ParseError) as info:
+        parse_sweep_spec(minimal.replace(old, new))
+    assert str(info.value).startswith(f"line {line}: {message}") and info.value.line == line
 
 
 @pytest.mark.parametrize(

@@ -208,6 +208,18 @@ def test_numeric_flags_reject_non_canonical_integers(tmp_path, capsys, argv, fla
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", NUMERIC_FLAGS)
+def test_numeric_flags_reject_over_long_integers(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    argv = list(argv)
+    argv[argv.index(flag) + 1] = "9" * 5000
+    assert run(*argv, "-o", out) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: not an integer: '{'9' * 20}'... (5000 characters)" in err
+    assert "limit" not in err and len(err) < 1000
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["-7", "0", "7", "12"])
 def test_numeric_flags_take_plain_integers(value):
     for argv, flag in NUMERIC_FLAGS:
@@ -215,6 +227,28 @@ def test_numeric_flags_take_plain_integers(value):
         argv[argv.index(flag) + 1] = value
         args = _build_parser().parse_args([*argv, "-o", "out"])
         assert getattr(args, flag[2:].replace("-", "_")) == int(value)
+
+
+@pytest.mark.parametrize(
+    "command, text, line",
+    [
+        ("verify", "solutions 1\nsol 0\nnode 0 1 x\n", 3),
+        ("verify", "solutions 1\n\nsol 0\nnode 0 1\n", 4),
+        ("verify", "# c\nsolutions 1\nsol 0\nedge 0 1 2\n", 4),
+        ("bench", "grid_side 2x\n", 1),
+        ("bench", "grid_side 20\nn_nodes\n", 2),
+        ("bench", "grid_side 20\n# c\nnodes 10\n", 3),
+    ],
+)
+def test_solution_and_spec_faults_print_their_line(tmp_path, capsys, command, text, line):
+    path = tmp_path / "input"
+    path.write_text(text)
+    if command == "verify":
+        argv = ("verify", FIXTURE_DIR / "fixture_f1.udgl", path)
+    else:
+        argv = ("bench", "--spec", path, "-o", tmp_path / "out.csv")
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.startswith(f"udgl: parse error: line {line}: ")
 
 
 def test_parse_errors_exit_2(tmp_path):
@@ -228,3 +262,10 @@ def test_parse_errors_exit_2(tmp_path):
 def test_help_exits_0(capsys):
     assert run("--help") == 0
     capsys.readouterr()
+
+
+def test_verify_routes_a_ground_truth_file_led_by_unicode_blank_lines(tmp_path):
+    led = tmp_path / "led.udgl"
+    f1 = FIXTURE_DIR / "fixture_f1.udgl"
+    led.write_bytes("\u3000\n\xa0\t\n".encode() + f1.read_bytes())
+    assert run("verify", f1, led) == 0

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import random
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from udgl.bench import parse_sweep_spec
+from udgl.cli import main
 from udgl.geometry import collinear, dist2
 from udgl.model import (
     Edge,
@@ -17,6 +23,7 @@ from udgl.model import (
     strip_instance,
     write_file,
 )
+from udgl.solver import SolverConfig, format_solution_set, parse_solutions, solve
 
 
 def test_generate_paper_scale_instance():
@@ -547,3 +554,76 @@ def test_parse_returns_problem_for_bare_unknowns():
     assert prob.grid_side is None
     assert prob.anchors == {0: (0, 0), 1: (3, 0), 2: (0, 3)}
     assert write_file(prob).decode() == text
+
+
+# ---------------------------------------------------------------------------
+# The line grammar shared by instance, problem, solution and sweep-spec files
+# ---------------------------------------------------------------------------
+
+_LONG = "9" * 5000  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize(
+    "parse, text, line",
+    [
+        (parse_file, GT_BASE.replace("node 3 unknown 3 3", f"node 3 unknown 3 {_LONG}"), 8),
+        (parse_file, GT_BASE.replace("edge 1 3 9", f"edge 1 3 {_LONG}"), 12),
+        (parse_solutions, f"solutions 1\nsol 0\nnode 0 {_LONG} 2\n", 3),
+        (parse_sweep_spec, f"grid_side 20\n\nn_nodes {_LONG}\n", 3),
+        (parse_sweep_spec, f"grid_side 20\nn_nodes 10\nradius_sq_values 50,-{_LONG}\n", 3),
+    ],
+    ids=["node", "edge", "solution", "spec", "spec-list"],
+)
+def test_over_long_integers_are_parse_errors_at_their_line(parse, text, line):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert info.value.line == line
+    message = str(info.value)
+    assert message.endswith(" characters)")  # a 20-character prefix and the length
+    assert "limit" not in message and len(message) < 100
+
+
+_GRAMMAR_INST = generate_instance(20, 50, 10, 3, seed=1)
+_GRAMMAR_TEXTS = {
+    "truth": (parse_file, write_file(_GRAMMAR_INST).decode()),
+    "problem": (parse_file, write_file(strip_instance(_GRAMMAR_INST, keep_bounds=True)).decode()),
+    "solution": (
+        parse_solutions,
+        format_solution_set(solve(strip_instance(_GRAMMAR_INST), SolverConfig()), _GRAMMAR_INST.n_nodes).decode(),
+    ),
+    "spec": (
+        parse_sweep_spec,
+        "grid_side 20\nn_nodes 10\nradius_sq_values 40, 50\nanchor_counts 3\nrule_sets conventional\n"
+        "orderings random\ntrials 2\nbase_seed 5\nbudget 900\nfind_all false\n",
+    ),
+}
+_JUNK_LINES = st.sampled_from(["", " ", "\t", "\u3000", "\xa0", "\u3000\xa0\t", "#", "# note", "\u3000# udgl", "\t#sol 0"])
+
+
+@st.composite
+def _with_junk(draw, text):
+    """text with blank, whitespace-only and comment lines inserted between (and around) its rows."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 6))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_JUNK_LINES))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_blank_and_comment_lines_change_no_parse_and_no_routing(data):
+    noisy = {}
+    for name, (parse, text) in _GRAMMAR_TEXTS.items():
+        noisy[name] = data.draw(_with_junk(text), label=name)
+        assert parse(noisy[name]) == parse(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, text in noisy.items():
+            paths[name] = Path(tmp) / name
+            paths[name].write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["verify", str(paths["truth"]), str(paths["truth"])]) == 0
+            assert main(["verify", str(paths["truth"]), str(paths["solution"])]) == 0
+            assert main(["verify", str(paths["truth"]), str(paths["problem"])]) == 2
+        assert "carries no coordinates" in err.getvalue()  # routed to parse_file, not parse_solutions

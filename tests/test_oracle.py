@@ -1,7 +1,9 @@
 import random
+from math import isqrt
 
 import pytest
 
+from udgl.geometry import Point, dist2
 from udgl.model import Edge, GenerationError, Problem, generate_instance, strip_instance, write_file
 from udgl.oracle import (
     CapExceededError,
@@ -95,18 +97,43 @@ def mutate(prob, rng):
     return kind, Problem(prob.n_nodes, r2, prob.anchors, tuple(edges))
 
 
+def move(inst, rng):
+    """inst's problem with one unknown moved to a free lattice point whose squared distance to
+    each of its neighbours lies in [1, r²], only that node's edge lengths rewritten, and the
+    moved assignment, which conventional rules accept; None when no such point exists."""
+    prob = strip_instance(inst)
+    u = rng.choice(prob.unknown_ids)
+    truth = inst.assignment()
+    nbrs = prob.adjacency[u]
+    r2, r = prob.radius_sq, isqrt(prob.radius_sq)
+    vx, vy = truth[next(iter(nbrs))]
+    taken = set(inst.positions)  # a free point is at least 1 from every neighbour
+    free = [p for dx in range(-r, r + 1) for dy in range(-r, r + 1)
+            if (p := Point(vx + dx, vy + dy)) not in taken and all(dist2(p, truth[v]) <= r2 for v in nbrs)]
+    if not free:
+        return None
+    truth[u] = rng.choice(free)
+    edges = tuple(e._replace(d2=dist2(truth[e.i], truth[e.j])) if u in (e.i, e.j) else e for e in prob.edges)
+    return Problem(prob.n_nodes, r2, prob.anchors, edges), truth
+
+
 def test_oracle_solver_agreement_on_mutated_problems():
-    """Dropped, changed and spurious edges: problems that no unit disk graph need realize."""
+    """Dropped, changed and spurious edges: problems that no unit disk graph need realize;
+    and, on every other instance, a moved unknown: problems with a known realization."""
     rng = random.Random(77)
     combos = [(8, 20, 5, 3), (10, 26, 5, 4), (10, 30, 6, 4), (12, 40, 7, 4), (12, 32, 6, 3), (10, 13, 6, 3),
               (12, 18, 7, 4), (12, 18, 7, 3), (10, 26, 7, 3)]
-    rejected = disconnected = compared = unsolvable = 0
+    rejected = disconnected = compared = unsolvable = moved = 0
     for k, inst in enumerate(small_instances(1000, combos, seed0=1300)):
-        try:
-            kind, mutant = mutate(strip_instance(inst), rng)
-        except ValueError:  # e.g. an anchor pair whose new d2 contradicts the positions
-            rejected += 1
-            continue
+        moved_to = move(inst, rng) if k % 2 == 0 else None
+        if moved_to is not None:
+            kind, (mutant, assignment) = "move", moved_to
+        else:
+            try:
+                kind, mutant = mutate(strip_instance(inst), rng)
+            except ValueError:  # e.g. an anchor pair whose new d2 contradicts the positions
+                rejected += 1
+                continue
         for rules in RuleSet:
             want = None
             for ordering in Ordering:
@@ -120,12 +147,16 @@ def test_oracle_solver_agreement_on_mutated_problems():
                     continue
                 if want is None:
                     want = canon(brute_force_solutions(mutant, rules))
+                    if kind == "move" and rules is RuleSet.CONVENTIONAL:
+                        assert canon([assignment]) <= want
+                        moved += 1
                 assert not got.stats.budget_exhausted
                 assert canon(got.solutions) == want, (kind, mutant, rules, ordering)
                 compared += 1
                 unsolvable += not want
     assert rejected > 0 and disconnected > 0 and 0 < unsolvable < compared
-    assert compared >= 3000
+    assert compared >= 3000 and moved >= 400
+    assert compared - unsolvable >= 1500  # comparisons against a non-empty solution set
 
 
 def test_reach_box_contains_every_solver_solution():

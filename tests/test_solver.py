@@ -665,6 +665,26 @@ def test_parse_solutions_reports_invalid_utf8_at_its_line():
 
 
 @pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("solutions 1\nsol 0\nnode 0 1 x\n", 3, "invalid y coordinate: 'x'"),
+        ("solutions 1\n\nsol 0\nnode 0 1\n", 4, "'node' line has 2 fields, expected 3"),
+        ("solutions 1\nsol 0 1\n", 2, "'sol' line has 2 fields, expected 1"),
+        ("solutions 1\nsol 0\nnode 0 1 2\nstate max_depth 3\n", 4, "unexpected keyword 'state'"),
+        ("# header\nsolutions 1 2\n", 2, "solution file must start with a 'solutions <k>' line"),
+        ("solutions 1\nsol 1\n", 2, "expected 'sol 0'"),
+        ("solutions 1\nnode 0 1 2\n", 2, "'node' line before the first 'sol' line"),
+        ("solutions 1\nsol 0\nnode 0 1 2\nnode 0 1 3\n", 4, "duplicate node 0 in solution 0"),
+        ("\nsolutions 2\nsol 0\nnode 0 1 2\n", 2, "file declares 2 solutions but contains 1"),
+    ],
+)
+def test_parse_solutions_names_the_line_of_each_fault(text, line, message):
+    with pytest.raises(ParseError) as info:
+        parse_solutions(text)
+    assert str(info.value) == f"line {line}: {message}" and info.value.line == line
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "solutions 1\nsol 0\nnode 0 1_0 +2\n",
