@@ -32,6 +32,14 @@ def anchor_count_for_fraction(fraction: float, n_nodes: int) -> int:
     return max(3, round(fraction * n_nodes))
 
 
+class SpecValueError(ValueError):
+    """A SweepSpec value out of range; key names the field that holds it."""
+
+    def __init__(self, key: str, message: str):
+        self.key = key
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     grid_side: int
@@ -46,22 +54,18 @@ class SweepSpec:
     find_all: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "radius_sq_values", tuple(self.radius_sq_values))
-        object.__setattr__(self, "anchor_counts", tuple(self.anchor_counts))
-        object.__setattr__(self, "rule_sets", tuple(self.rule_sets))
-        object.__setattr__(self, "orderings", tuple(self.orderings))
+        for key in ("radius_sq_values", "anchor_counts", "rule_sets", "orderings"):
+            object.__setattr__(self, key, tuple(getattr(self, key)))
+            if not getattr(self, key):
+                raise SpecValueError(key, f"{key} must be non-empty")
         if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not self.radius_sq_values or not self.anchor_counts:
-            raise ValueError("radius_sq_values and anchor_counts must be non-empty")
-        if not self.rule_sets or not self.orderings:
-            raise ValueError("rule_sets and orderings must be non-empty")
+            raise SpecValueError("trials", f"trials must be >= 1, got {self.trials}")
         for r2 in self.radius_sq_values:
             if r2 < 1:
-                raise ValueError(f"radius_sq value {r2} must be >= 1")
+                raise SpecValueError("radius_sq_values", f"radius_sq value {r2} must be >= 1")
         for m in self.anchor_counts:
             if not 3 <= m < self.n_nodes:
-                raise ValueError(f"anchor count {m} outside [3, {self.n_nodes})")
+                raise SpecValueError("anchor_counts", f"anchor count {m} outside [3, {self.n_nodes})")
 
 
 @dataclass(frozen=True)
@@ -226,12 +230,13 @@ def parse_sweep_spec(text: bytes | str) -> SweepSpec:
     The keys, which of them are required and the defaults of the rest are SweepSpec's
     fields. Tuple fields take comma-separated items; find_all takes 0, 1, true or false.
     Rows follow the line grammar shared by every udgl text (model.text_rows) and its
-    integer rule (model.parse_int). Every fault in a row is a ParseError naming its
-    line; a missing required key, or values SweepSpec rejects, is a ParseError too.
+    integer rule (model.parse_int). Every fault in a row, and every value SweepSpec
+    rejects, is a ParseError naming its line; so is a missing required key, without one.
     """
     spec_fields = {f.name: f for f in fields(SweepSpec)}
     types = get_type_hints(SweepSpec)
     kwargs: dict = {}
+    lines: dict[str, int] = {}
     for no, line in text_rows(text):
         parts = line.split(None, 1)
         if len(parts) != 2:
@@ -242,13 +247,14 @@ def parse_sweep_spec(text: bytes | str) -> SweepSpec:
         if key in kwargs:
             raise ParseError(f"duplicate key {key!r}", no)
         kwargs[key] = _spec_value(types[key], raw, no, key)
+        lines[key] = no
     for name, f in spec_fields.items():
         if f.default is MISSING and name not in kwargs:
             raise ParseError(f"spec is missing required key {name!r}")
     try:
         return SweepSpec(**kwargs)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    except SpecValueError as exc:
+        raise ParseError(str(exc), lines.get(exc.key)) from None
 
 
 def _spec_value(kind: type, raw: str, no: int, what: str):

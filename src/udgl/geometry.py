@@ -23,11 +23,19 @@ class Point(NamedTuple):
     y: int
 
 
+def check_int(value, what: str) -> int:
+    """value when it is an int and not a bool, else a TypeError naming what: the rule for
+    every integer field of a point, an edge, an Instance or a Problem."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def check_point(p: Sequence[int]) -> Point:
     """Validate a coordinate pair (integer type, supported range) and return a Point."""
     x, y = p
-    if isinstance(x, bool) or isinstance(y, bool) or not isinstance(x, int) or not isinstance(y, int):
-        raise TypeError(f"lattice coordinates must be integers, got {tuple(p)!r}")
+    check_int(x, "lattice coordinate")
+    check_int(y, "lattice coordinate")
     if abs(x) > COORD_LIMIT or abs(y) > COORD_LIMIT:
         raise ValueError(f"coordinate outside supported range |c| <= {COORD_LIMIT}: {tuple(p)!r}")
     return Point(x, y)

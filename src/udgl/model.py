@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
-from .geometry import Point, check_point, collinear, dist2, pairs_within
+from .geometry import Point, check_int, check_point, collinear, dist2, pairs_within
 
 
 class Edge(NamedTuple):
@@ -94,6 +94,66 @@ def _is_connected(n: int, edges: Iterable[tuple[int, int, int]]) -> bool:
     return count == n
 
 
+# One rule per Instance/Problem invariant; the constructors and parse_file both call them.
+
+
+def _check_size(value, what: str) -> int:
+    """The rule for a grid side, squared radius or node count: a positive integer."""
+    if check_int(value, what) < 1:
+        raise ValueError(f"{what} must be positive")
+    return value
+
+
+def _place(p, grid: int | None, seen: dict[Point, int], i: int) -> Point:
+    """The position rule: p is a lattice point (check_point), inside [0, grid)^2 when there
+    is a grid, and no node in seen (point -> id) sits there; p is recorded as node i's."""
+    p = check_point(p)
+    if grid is not None and not (0 <= p.x < grid and 0 <= p.y < grid):
+        raise ValueError(f"position {tuple(p)} outside [0, {grid})^2")
+    if p in seen:
+        raise ValueError(f"position {tuple(p)} duplicates node {seen[p]}")
+    seen[p] = i
+    return p
+
+
+def _check_edge(i: int, j: int, d2: int, n: int, radius_sq: int, placed: dict[int, Point], last: int) -> int:
+    """The edge rule: 0 <= i < j < n, (i, j) after the edge before it (whose key is last),
+    1 <= d2 <= radius_sq, and d2 is the exact squared length when both ends are placed.
+    Strictly ascending (i, j) is ascending key i * n + j; returns this edge's key."""
+    if not 0 <= i < j < n:
+        raise ValueError(f"edge ({i}, {j}) is not canonical (need 0 <= i < j < N)")
+    key = i * n + j
+    if key <= last:
+        if key == last:
+            raise ValueError(f"duplicate edge ({i}, {j})")
+        raise ValueError(f"edge ({i}, {j}) out of order: edges must be in ascending (i, j) order")
+    if d2 < 1:
+        raise ValueError(f"edge ({i}, {j}) has non-positive d2={d2}")
+    if d2 > radius_sq:
+        raise ValueError(f"edge ({i}, {j}) has d2={d2} exceeding radius_sq={radius_sq}")
+    p = placed.get(i)
+    q = placed.get(j)
+    if p is not None and q is not None and dist2(p, q) != d2:
+        raise ValueError(f"edge ({i}, {j}) d2={d2} inconsistent with positions (true d2={dist2(p, q)})")
+    return key
+
+
+def _check_anchors(points: list[Point], n: int, unknown_needed: bool) -> None:
+    """The anchor rule: 3 <= M <= N anchors (M < N when an unknown is needed), not collinear."""
+    if not 3 <= len(points) <= n - unknown_needed:
+        bound = "<" if unknown_needed else "<="
+        raise ValueError(f"anchor count must satisfy 3 <= M {bound} N, got M={len(points)}, N={n}")
+    if collinear(points):
+        raise ValueError("anchor positions must not be collinear")
+
+
+def _check_network(positions: tuple[Point, ...], flags: tuple[bool, ...], edges: Iterable[Edge]) -> None:
+    """The rules of a whole Instance: its anchors leave an unknown, and its edge graph is connected."""
+    _check_anchors([p for p, f in zip(positions, flags) if f], len(positions), True)
+    if not _is_connected(len(positions), edges):
+        raise ValueError("derived edge graph is not connected")
+
+
 def _prechecked(cls, **fields):
     """An object of the frozen dataclass cls from fields that already meet every
     invariant its __post_init__ enforces; those checks are skipped."""
@@ -106,9 +166,9 @@ def _prechecked(cls, **fields):
 class Instance:
     """Ground-truth network on a square grid; the edge set is always derived.
 
-    Invariants enforced at construction: positions distinct and inside the
-    grid, 3 <= anchors < nodes, anchors not collinear, derived edge graph
-    connected.
+    Invariants enforced at construction: integer fields, positions distinct and
+    inside the grid, 3 <= anchors < nodes, anchors not collinear, derived edge
+    graph connected.
     """
 
     grid_side: int
@@ -118,30 +178,17 @@ class Instance:
     edges: tuple[Edge, ...] = field(init=False)
 
     def __post_init__(self):
-        if self.grid_side < 1:
-            raise ValueError(f"grid_side must be positive, got {self.grid_side}")
-        if self.radius_sq < 1:
-            raise ValueError(f"radius_sq must be positive, got {self.radius_sq}")
-        positions = tuple(check_point(p) for p in self.positions)
+        _check_size(self.grid_side, "grid_side")
+        _check_size(self.radius_sq, "radius_sq")
+        seen: dict[Point, int] = {}
+        positions = tuple(_place(p, self.grid_side, seen, i) for i, p in enumerate(self.positions))
         flags = tuple(bool(f) for f in self.anchor_flags)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "anchor_flags", flags)
-        n = len(positions)
-        if len(flags) != n:
+        if len(flags) != len(positions):
             raise ValueError("anchor_flags length does not match positions")
-        for p in positions:
-            if not (0 <= p.x < self.grid_side and 0 <= p.y < self.grid_side):
-                raise ValueError(f"position {tuple(p)} outside [0, {self.grid_side})^2")
-        if len(set(positions)) != n:
-            raise ValueError("node positions must be pairwise distinct")
         object.__setattr__(self, "edges", tuple(Edge(*e) for e in pairs_within(positions, self.radius_sq)))
-        m = sum(flags)
-        if not 3 <= m < n:
-            raise ValueError(f"anchor count must satisfy 3 <= M < N, got M={m}, N={n}")
-        if collinear([positions[i] for i in range(n) if flags[i]]):
-            raise ValueError("anchor positions must not be collinear")
-        if not _is_connected(n, self.edges):
-            raise ValueError("derived edge graph is not connected")
+        _check_network(positions, flags, self.edges)
 
     @property
     def n_nodes(self) -> int:
@@ -176,40 +223,24 @@ class Problem:
     grid_side: int | None = None
 
     def __post_init__(self):
-        if self.n_nodes < 1:
-            raise ValueError("n_nodes must be positive")
-        if self.radius_sq < 1:
-            raise ValueError(f"radius_sq must be positive, got {self.radius_sq}")
-        if self.grid_side is not None and self.grid_side < 1:
-            raise ValueError("grid_side must be positive when present")
-        anchors = {i: check_point(p) for i, p in sorted(self.anchors.items())}
+        _check_size(self.n_nodes, "n_nodes")
+        _check_size(self.radius_sq, "radius_sq")
+        if self.grid_side is not None:
+            _check_size(self.grid_side, "grid_side")
+        seen: dict[Point, int] = {}
+        items = sorted(self.anchors.items())
+        anchors = {check_int(i, "anchor id"): _place(p, self.grid_side, seen, i) for i, p in items}
         object.__setattr__(self, "anchors", anchors)
-        if not 3 <= len(anchors) <= self.n_nodes:
-            raise ValueError(f"anchor count must satisfy 3 <= M <= N, got M={len(anchors)}, N={self.n_nodes}")
-        for i, p in anchors.items():
+        for i in anchors:
             if not 0 <= i < self.n_nodes:
                 raise ValueError(f"anchor id {i} out of range [0, {self.n_nodes})")
-            if self.grid_side is not None and not (0 <= p.x < self.grid_side and 0 <= p.y < self.grid_side):
-                raise ValueError(f"anchor {i} at {tuple(p)} outside [0, {self.grid_side})^2")
-        if len(set(anchors.values())) != len(anchors):
-            raise ValueError("anchor positions must be pairwise distinct")
-        if collinear(list(anchors.values())):
-            raise ValueError("anchor positions must not be collinear")
+        _check_anchors(list(anchors.values()), self.n_nodes, False)
         edges = tuple(sorted(Edge(*e) for e in self.edges))
         object.__setattr__(self, "edges", edges)
-        last = (-1, -1)  # sorted, so a duplicate pair follows its first copy
+        last = -1  # sorted, so a duplicate pair follows its first copy
         for i, j, d2 in edges:
-            if not (0 <= i < j < self.n_nodes):
-                raise ValueError(f"edge ({i}, {j}) is not canonical (need 0 <= i < j < N)")
-            if (i, j) == last:
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            last = (i, j)
-            if not 1 <= d2 <= self.radius_sq:
-                raise ValueError(f"edge ({i}, {j}) has d2={d2} outside [1, {self.radius_sq}]")
-            if i in anchors and j in anchors and dist2(anchors[i], anchors[j]) != d2:
-                raise ValueError(
-                    f"edge ({i}, {j}) d2={d2} contradicts anchor positions (true d2={dist2(anchors[i], anchors[j])})"
-                )
+            i, j, d2 = check_int(i, "edge endpoint"), check_int(j, "edge endpoint"), check_int(d2, "edge d2")
+            last = _check_edge(i, j, d2, self.n_nodes, self.radius_sq, anchors, last)
 
     @cached_property
     def adjacency(self) -> dict[int, dict[int, int]]:
@@ -253,8 +284,7 @@ def generate_instance(
         raise ValueError(f"need 3 <= n_anchors < n_nodes, got {n_anchors} of {n_nodes}")
     if grid_side * grid_side < n_nodes:
         raise ValueError(f"grid {grid_side}x{grid_side} cannot hold {n_nodes} distinct nodes")
-    if radius_sq < 1:
-        raise ValueError(f"radius_sq must be positive, got {radius_sq}")
+    _check_size(radius_sq, "radius_sq")
 
     rng = random.Random(seed)
     n_cells = grid_side * grid_side
@@ -305,7 +335,7 @@ def strip_instance(inst: Instance, keep_bounds: bool = False) -> Problem:
 #   nodes <N>
 #   node <id> anchor <x> <y>
 #   node <id> unknown <x> <y>      (ground-truth files)
-#   node <id> unknown              (problem files)
+#   node <id> unknown              (problem files; a file of anchors only is a Problem)
 #   edges <E>
 #   edge <i> <j> <d2>              (i < j, strictly ascending (i, j); enforced on parse)
 #
@@ -315,24 +345,18 @@ def strip_instance(inst: Instance, keep_bounds: bool = False) -> Problem:
 def write_file(obj: Instance | Problem) -> bytes:
     """Serialize to canonical text: UTF-8, LF endings, byte-deterministic."""
     lines = ["udgl 1"]
-    if isinstance(obj, Instance):
+    if obj.grid_side is not None:  # always present in an Instance
         lines.append(f"grid {obj.grid_side}")
-        lines.append(f"radius_sq {obj.radius_sq}")
-        lines.append(f"nodes {obj.n_nodes}")
+    lines.append(f"radius_sq {obj.radius_sq}")
+    lines.append(f"nodes {obj.n_nodes}")
+    if isinstance(obj, Instance):
         for i, p in enumerate(obj.positions):
             kind = "anchor" if obj.anchor_flags[i] else "unknown"
             lines.append(f"node {i} {kind} {p.x} {p.y}")
     else:
-        if obj.grid_side is not None:
-            lines.append(f"grid {obj.grid_side}")
-        lines.append(f"radius_sq {obj.radius_sq}")
-        lines.append(f"nodes {obj.n_nodes}")
         for i in range(obj.n_nodes):
             p = obj.anchors.get(i)
-            if p is not None:
-                lines.append(f"node {i} anchor {p.x} {p.y}")
-            else:
-                lines.append(f"node {i} unknown")
+            lines.append(f"node {i} anchor {p.x} {p.y}" if p is not None else f"node {i} unknown")
     lines.append(f"edges {len(obj.edges)}")
     for e in obj.edges:
         lines.append(f"edge {e.i} {e.j} {e.d2}")
@@ -345,13 +369,15 @@ _EDGE_LINE = re.compile(r"edge\s+(-?[0-9]+)\s+(-?[0-9]+)\s+(-?[0-9]+)")
 
 
 def parse_file(data: bytes | str) -> Instance | Problem:
-    """Parse the udgl text format; returns an Instance when all positions are present.
+    """Parse the udgl text format: an Instance when the unknown nodes carry coordinates,
+    otherwise a Problem (so a file of anchors only is a zero-unknown Problem).
 
     Violations are rejected with the offending line number: invalid UTF-8, malformed
     rows, duplicate positions, non-canonical, duplicate or out-of-order edges, d2
     outside [1, radius_sq], and edge lengths inconsistent with two given positions.
-    The rows are read in one pass. A ground-truth file's edge list must then equal,
-    in one comparison, the edges its positions imply.
+    One pass checks each row once, by the constructors' own rules, and builds the result
+    without running a constructor. A ground-truth file's edge lines are matched in step
+    with the edges its positions imply, and only those are kept.
     """
     rows = text_rows(data)
     ahead = next(rows, None)  # the next non-blank, non-comment row
@@ -374,6 +400,13 @@ def parse_file(data: bytes | str) -> Instance | Problem:
         j = parse_int(toks[1], no, "edge endpoint")
         return i, j, parse_int(toks[2], no, "squared edge length")
 
+    def checked(no: int | None, rule, *args):
+        """rule(*args), with its ValueError reported as a ParseError at line no."""
+        try:
+            return rule(*args)
+        except ValueError as exc:
+            raise ParseError(str(exc), no) from None
+
     no, toks = take("udgl", 1)
     if toks[1] != "1":
         raise ParseError(f"unsupported format version {toks[1]!r}", no)
@@ -381,23 +414,17 @@ def parse_file(data: bytes | str) -> Instance | Problem:
     grid: int | None = None
     if ahead is not None and ahead[1].split(None, 1)[0] == "grid":
         no, toks = take("grid", 1)
-        grid = parse_int(toks[1], no, "grid side")
-        if grid < 1:
-            raise ParseError("grid side must be positive", no)
+        grid = checked(no, _check_size, parse_int(toks[1], no, "grid side"), "grid side")
 
     no, toks = take("radius_sq", 1)
-    radius_sq = parse_int(toks[1], no, "squared radius")
-    if radius_sq < 1:
-        raise ParseError("radius_sq must be positive", no)
+    radius_sq = checked(no, _check_size, parse_int(toks[1], no, "squared radius"), "radius_sq")
 
     no, toks = take("nodes", 1)
-    n = parse_int(toks[1], no, "node count")
-    if n < 1:
-        raise ParseError("node count must be positive", no)
+    n = checked(no, _check_size, parse_int(toks[1], no, "node count"), "node count")
 
     kinds: dict[int, str] = {}
     coords: dict[int, Point] = {}
-    first_at: dict[Point, int] = {}
+    seen: dict[Point, int] = {}
     for _ in range(n):
         no, toks = take("node", (2, 4))
         node_id = parse_int(toks[1], no, "node id")
@@ -410,36 +437,28 @@ def parse_file(data: bytes | str) -> Instance | Problem:
             raise ParseError(f"node kind must be 'anchor' or 'unknown', got {kind!r}", no)
         kinds[node_id] = kind
         if len(toks) == 5:
-            x = parse_int(toks[3], no, "x coordinate")
-            y = parse_int(toks[4], no, "y coordinate")
-            try:
-                p = check_point((x, y))
-            except ValueError as exc:
-                raise ParseError(str(exc), no) from None
-            if grid is not None and not (0 <= x < grid and 0 <= y < grid):
-                raise ParseError(f"position ({x}, {y}) outside [0, {grid})^2", no)
-            if p in first_at:
-                raise ParseError(f"position ({x}, {y}) duplicates node {first_at[p]}", no)
-            first_at[p] = node_id
-            coords[node_id] = p
+            xy = (parse_int(toks[3], no, "x coordinate"), parse_int(toks[4], no, "y coordinate"))
+            coords[node_id] = checked(no, _place, xy, grid, seen, node_id)
         elif kind == "anchor":
             raise ParseError("anchor line requires coordinates", no)
 
-    anchors = {i for i, k in kinds.items() if k == "anchor"}
     located_unknowns = [i for i in kinds if kinds[i] == "unknown" and i in coords]
     bare_unknowns = [i for i in kinds if kinds[i] == "unknown" and i not in coords]
     if located_unknowns and bare_unknowns:
         raise ParseError(
             f"unknown nodes mix located ({located_unknowns[0]}) and unlocated ({bare_unknowns[0]}) forms"
         )
+    # Ground truth: every node is located, and its edges are the pairs within radius_sq.
+    positions = tuple(coords[i] for i in range(n)) if located_unknowns else None
+    derived = pairs_within(positions, radius_sq) if positions is not None else iter(())
 
     no, toks = take("edges", 1)
     n_edges = parse_int(toks[1], no, "edge count")
     if n_edges < 0:
         raise ParseError("edge count must be non-negative", no)
 
-    # Strictly ascending (i, j), with i < j < n, is ascending i * n + j.
-    edges: list[tuple[int, int, int]] = []
+    edges: list[Edge] = []
+    missing = None  # the first implied edge that no line declares
     last = -1
     for _ in range(n_edges):
         m = _EDGE_LINE.fullmatch(ahead[1]) if ahead is not None else None
@@ -453,47 +472,34 @@ def parse_file(data: bytes | str) -> Instance | Problem:
         else:  # take and edge_ints word the error
             no, toks = take("edge", 3)
             i, j, d2 = edge_ints(no, toks[1:])
-        if not (0 <= i < j < n):
-            raise ParseError(f"edge ({i}, {j}) is not canonical (need 0 <= i < j < N)", no)
-        key = i * n + j
-        if key <= last:
-            if key == last:
-                raise ParseError(f"duplicate edge ({i}, {j})", no)
-            raise ParseError(f"edge ({i}, {j}) out of order: edges must be in ascending (i, j) order", no)
-        last = key
-        if d2 < 1:
-            raise ParseError(f"edge ({i}, {j}) has non-positive d2={d2}", no)
-        if d2 > radius_sq:
-            raise ParseError(f"edge ({i}, {j}) has d2={d2} exceeding radius_sq={radius_sq}", no)
-        p = coords.get(i)
-        q = coords.get(j)
-        if p is not None and q is not None and dist2(p, q) != d2:
-            raise ParseError(f"edge ({i}, {j}) d2={d2} inconsistent with positions (true d2={dist2(p, q)})", no)
-        edges.append((i, j, d2))
+        last = checked(no, _check_edge, i, j, d2, n, radius_sq, coords, last)
+        if positions is None:
+            edges.append(Edge(i, j, d2))
+            continue
+        # A checked ground-truth edge is within radius_sq and later than the last one:
+        # the implied edges before it are missing.
+        for e in derived:
+            edges.append(Edge(*e))
+            if e[0] == i and e[1] == j:
+                break
+            missing = missing or e
 
     if ahead is not None:
         raise ParseError(f"unexpected trailing line '{ahead[1].split(None, 1)[0]}'", ahead[0])
+    for e in derived:
+        edges.append(Edge(*e))
+        missing = missing or e
 
-    if not bare_unknowns:
-        # Every node carries coordinates: ground-truth instance.
-        if grid is None:
-            raise ParseError("ground-truth file requires a 'grid' line")
-        positions = tuple(coords[i] for i in range(n))
-        flags = tuple(i in anchors for i in range(n))
-        try:
-            inst = Instance(grid, radius_sq, positions, flags)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
-        if tuple(edges) != inst.edges:
-            # Each declared edge was checked against the positions above and the declared
-            # list ascends, so it is a sorted sublist of inst.edges: the first position
-            # where the two differ holds the smallest missing edge.
-            k = next((k for k, (a, b) in enumerate(zip(edges, inst.edges)) if a != b), len(edges))
-            raise ParseError(f"edge list does not match node geometry: missing {inst.edges[k]}")
-        return inst
-
-    anchor_points = {i: coords[i] for i in sorted(anchors)}
-    try:
-        return Problem(n_nodes=n, radius_sq=radius_sq, anchors=anchor_points, edges=tuple(edges), grid_side=grid)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    if positions is None:
+        anchors = {i: coords[i] for i in sorted(coords)}
+        checked(None, _check_anchors, list(anchors.values()), n, False)
+        return _prechecked(Problem, n_nodes=n, radius_sq=radius_sq, anchors=anchors, edges=tuple(edges), grid_side=grid)
+    if grid is None:
+        raise ParseError("ground-truth file requires a 'grid' line")
+    flags = tuple(kinds[i] == "anchor" for i in range(n))
+    checked(None, _check_network, positions, flags, edges)
+    if missing:
+        raise ParseError(f"edge list does not match node geometry: missing {Edge(*missing)}")
+    return _prechecked(
+        Instance, grid_side=grid, radius_sq=radius_sq, positions=positions, anchor_flags=flags, edges=tuple(edges)
+    )

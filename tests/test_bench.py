@@ -261,6 +261,10 @@ def test_parse_sweep_spec_reports_invalid_utf8_at_its_line():
         ("anchor_counts 3", "anchor_counts 3\n\u3000\ngrid_side 21", 7, "duplicate key 'grid_side'"),
         ("anchor_counts 3", "anchor_counts 3\norderings random,best", 6, "unknown ordering 'best'"),
         ("anchor_counts 3", "anchor_counts 3\nfind_all maybe", 6, "find_all must be 0, 1, true or false"),
+        # values only SweepSpec rejects name the line of their key
+        ("anchor_counts 3", "anchor_counts 3\ntrials 0", 6, "trials must be >= 1, got 0"),
+        ("radius_sq_values 50", "radius_sq_values 40,0", 4, "radius_sq value 0 must be >= 1"),
+        ("anchor_counts 3", "anchor_counts 3,10", 5, "anchor count 10 outside [3, 10)"),
     ],
 )
 def test_parse_sweep_spec_names_the_line_of_each_fault(old, new, line, message):

@@ -1,7 +1,7 @@
 import pytest
 
 from udgl.cli import _build_parser, main
-from udgl.model import Instance, Problem, parse_file
+from udgl.model import Edge, Instance, Problem, parse_file, write_file
 from udgl.solver import parse_solutions
 from tests.conftest import FIXTURE_DIR
 
@@ -102,6 +102,16 @@ def test_solve_exit_4_when_unsolvable(tmp_path, capsys):
     assert run("solve", path, "--rules", "unit-disk") == 4
     capsys.readouterr()
     assert run("solve", path, "--rules", "conventional") == 0
+
+
+@pytest.mark.parametrize("grid_side", [None, 10])
+def test_solve_reads_a_zero_unknown_problem(tmp_path, capsys, grid_side):
+    anchors = {0: (0, 0), 1: (3, 0), 2: (0, 3)}
+    path = tmp_path / "anchors.udgl"
+    path.write_bytes(write_file(Problem(3, 9, anchors, (Edge(0, 1, 9), Edge(0, 2, 9)), grid_side)))
+    assert run("solve", path, "-o", tmp_path / "sols.txt") == 0
+    assert parse_solutions((tmp_path / "sols.txt").read_bytes()) == [anchors]
+    assert run("verify", path, tmp_path / "sols.txt") == 0
 
 
 def test_verify_detects_corruption(tmp_path, capsys):

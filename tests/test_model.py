@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from udgl.bench import parse_sweep_spec
 from udgl.cli import main
-from udgl.geometry import collinear, dist2
+from udgl.geometry import COORD_LIMIT, collinear, dist2, pairs_within
 from udgl.model import (
     Edge,
     GenerationError,
@@ -139,6 +139,36 @@ def test_problem_validation():
     Problem(n_nodes=3, radius_sq=9, anchors=anchors, edges=(Edge(0, 1, 9),))
 
 
+_ANCHORS3 = {0: (0, 0), 1: (3, 0), 2: (0, 3)}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("radius_sq", 9.5),
+        ("radius_sq", True),
+        ("n_nodes", 4.0),
+        ("grid_side", 10.0),
+        ("edges", ((1, 3, 9.0),)),
+        ("edges", ((True, 3, 9),)),
+        ("anchors", {0: (0, 0), 1: (3, 0), 2.0: (0, 3)}),
+    ],
+)
+def test_problem_rejects_non_integer_fields(field, value):
+    fields = dict(n_nodes=4, radius_sq=9, anchors=_ANCHORS3, edges=((0, 3, 4),), grid_side=10)
+    Problem(**fields)
+    with pytest.raises(TypeError, match="must be an integer"):
+        Problem(**{**fields, field: value})
+
+
+@pytest.mark.parametrize("field, value", [("grid_side", 10.0), ("radius_sq", 8.0), ("radius_sq", True)])
+def test_instance_rejects_non_integer_fields(field, value):
+    fields = dict(grid_side=5, radius_sq=8, positions=((0, 0), (1, 0), (0, 1), (2, 2)), anchor_flags=(1, 1, 1, 0))
+    Instance(**fields)
+    with pytest.raises(TypeError, match="must be an integer"):
+        Instance(**{**fields, field: value})
+
+
 def test_strip_instance_equals_validated_problem():
     """strip_instance skips Problem's checks; a fully validated Problem from the same fields agrees."""
     rng = random.Random(13)
@@ -219,6 +249,15 @@ def test_round_trip_many_random_instances():
         assert parse_file(write_file(inst)) == inst
         prob = strip_instance(inst, keep_bounds=rng.random() < 0.5)
         assert parse_file(write_file(prob)) == prob
+
+
+@pytest.mark.parametrize("grid_side", [None, 10])
+def test_zero_unknown_problem_round_trips(grid_side):
+    """A file of anchors only is a Problem: M = N is a legal Problem and reads back as one."""
+    prob = Problem(3, 9, _ANCHORS3, (Edge(0, 1, 9), Edge(0, 2, 9)), grid_side)
+    data = write_file(prob)
+    assert parse_file(data) == prob
+    assert write_file(parse_file(data)) == data
 
 
 def test_write_format_shape():
@@ -403,7 +442,7 @@ def test_parse_peak_memory_is_a_small_multiple_of_the_instance():
     finally:
         tracemalloc.stop()
     assert isinstance(inst, Instance) and len(inst.edges) > 30_000
-    assert peak - base <= 4 * (size - base)
+    assert peak - base <= 2.2 * (size - base)
 
 
 _SOUP_WORDS = ["udgl", "grid", "radius_sq", "nodes", "node", "anchor", "unknown", "edges", "edge", "#", "1"]
@@ -627,3 +666,111 @@ def test_blank_and_comment_lines_change_no_parse_and_no_routing(data):
             assert main(["verify", str(paths["truth"]), str(paths["solution"])]) == 0
             assert main(["verify", str(paths["truth"]), str(paths["problem"])]) == 2
         assert "carries no coordinates" in err.getvalue()  # routed to parse_file, not parse_solutions
+
+
+# ---------------------------------------------------------------------------
+# parse_file and the constructors state each invariant once, through the same rules
+# ---------------------------------------------------------------------------
+
+_FAULTS = [
+    "none", "off_grid", "beyond_limit", "coincident", "two_anchors", "collinear", "disconnected",
+    "missing_edge", "wrong_d2", "d2_over_r2", "non_canonical", "duplicate_edge",
+]
+
+
+def _break(fault, inst, rng):
+    """inst's positions, anchor flags and edge list with one invariant broken by fault, or None
+    when inst offers no way to break it. The edges are the pairs the positions imply, unless
+    the fault is in the edge list itself."""
+    pos, flags = list(inst.positions), list(inst.anchor_flags)
+    n, grid, r2 = inst.n_nodes, inst.grid_side, inst.radius_sq
+    k = rng.randrange(n)
+    if fault == "off_grid":
+        pos[k] = (grid, pos[k][1])
+    elif fault == "beyond_limit":
+        pos[k] = (COORD_LIMIT + 1, pos[k][1])
+    elif fault == "coincident":
+        pos[k] = pos[(k + 1) % n]
+    elif fault == "two_anchors":
+        flags = [i < 2 for i in range(n)]
+    elif fault == "collinear":
+        line = next(
+            (t for t in ((a, b, c) for a in range(n) for b in range(a + 1, n) for c in range(b + 1, n))
+             if collinear([pos[i] for i in t])),
+            None,
+        )
+        if line is None:
+            return None
+        flags = [i in line for i in range(n)]
+    elif fault == "disconnected":
+        free = [(x, y) for x in range(grid) for y in range(grid) if all(dist2((x, y), p) > r2 for p in pos)]
+        if not free:
+            return None
+        pos[k] = rng.choice(free)
+    edges = list(pairs_within(pos, r2))
+    if fault in ("missing_edge", "wrong_d2", "d2_over_r2", "non_canonical", "duplicate_edge"):
+        e = rng.randrange(len(edges))
+        i, j, d2 = edges[e]
+        if fault == "missing_edge":
+            del edges[e]
+        elif fault == "duplicate_edge":
+            edges.insert(e, edges[e])
+        else:
+            edges[e] = {"wrong_d2": (i, j, d2 + 1), "d2_over_r2": (i, j, r2 + 1), "non_canonical": (j, i, d2)}[fault]
+    return pos, flags, edges
+
+
+def _udgl_text(grid, r2, nodes, edges):
+    """The udgl text of raw fields: nodes is a list of (kind, point or None) in id order."""
+    head = ["udgl 1"] + ([f"grid {grid}"] if grid is not None else []) + [f"radius_sq {r2}", f"nodes {len(nodes)}"]
+    rows = [f"node {i} {kind}" + (f" {p[0]} {p[1]}" if p is not None else "") for i, (kind, p) in enumerate(nodes)]
+    rows += [f"edges {len(edges)}"] + [f"edge {i} {j} {d2}" for i, j, d2 in edges]
+    return "\n".join(head + rows) + "\n"
+
+
+def _built(build):
+    try:
+        return build()
+    except ValueError:
+        return None
+
+
+def test_parse_agrees_with_the_constructors():
+    """One fault at a time in generated instance and problem files: parse_file raises ParseError
+    exactly when the constructor rejects the same fields (for a ground-truth file, also when its
+    edge lines are not the edges its positions imply), and otherwise returns what it builds."""
+    rng = random.Random(10)
+    outcomes = {}
+    done = 0
+    while done < 40:
+        grid, n = rng.choice([8, 12, 20]), rng.randint(5, 16)
+        r2, m = rng.choice([10, 25, 60]), rng.randint(3, n - 1)
+        try:
+            inst = generate_instance(grid, r2, n, m, seed=rng.randint(0, 10**6), max_attempts=40)
+        except GenerationError:
+            continue
+        done += 1
+        for fault in _FAULTS:
+            broken = _break(fault, inst, rng)
+            if broken is None:
+                continue
+            pos, flags, edges = broken
+            truth = _built(lambda: Instance(grid, r2, tuple(pos), tuple(flags)))
+            if truth is not None and truth.edges != tuple(edges):
+                truth = None
+            truth_text = _udgl_text(grid, r2, [("anchor" if f else "unknown", p) for p, f in zip(pos, flags)], edges)
+            bounds = grid if rng.random() < 0.5 else None
+            anchors = {i: p for i, (p, f) in enumerate(zip(pos, flags)) if f}
+            problem = _built(lambda: Problem(n, r2, anchors, tuple(edges), bounds))
+            bare = [("anchor", p) if f else ("unknown", None) for p, f in zip(pos, flags)]
+            problem_text = _udgl_text(bounds, r2, bare, edges)
+            for built, text in ((truth, truth_text), (problem, problem_text)):
+                outcomes[fault, built is None] = outcomes.get((fault, built is None), 0) + 1
+                if built is None:
+                    with pytest.raises(ParseError):
+                        parse_file(text)
+                else:
+                    assert parse_file(text) == built
+    assert outcomes[("none", False)] == 80
+    for fault in _FAULTS[1:]:
+        assert outcomes.get((fault, True), 0) >= 10, fault  # every fault is rejected somewhere
