@@ -12,16 +12,12 @@ import math
 import sys
 import time
 from dataclasses import MISSING, dataclass, fields
+from itertools import product
 from typing import Callable, TextIO, get_args, get_origin, get_type_hints
 
+from .geometry import check_int
 from .model import GenerationError, Instance, ParseError, generate_instance, parse_int, strip_instance, text_rows
-from .solver import Ordering, RuleSet, SolutionSet, SolverConfig, solve
-
-CSV_HEADER = (
-    "grid,nodes,anchors,radius_sq,rules,ordering,trials,"
-    "mean_visits_per_unknown,mean_checks_per_unknown,"
-    "unique_fraction,censored_fraction,wall_s"
-)
+from .solver import Ordering, RuleSet, SearchStats, SolutionSet, SolverConfig, solve
 
 # Callback invoked once per completed trial: (instance, config, trial, result).
 TrialHook = Callable[[Instance, SolverConfig, int, SolutionSet], None]
@@ -54,18 +50,31 @@ class SweepSpec:
     find_all: bool = True
 
     def __post_init__(self):
-        for key in ("radius_sq_values", "anchor_counts", "rule_sets", "orderings"):
-            object.__setattr__(self, key, tuple(getattr(self, key)))
-            if not getattr(self, key):
-                raise SpecValueError(key, f"{key} must be non-empty")
-        if self.trials < 1:
-            raise SpecValueError("trials", f"trials must be >= 1, got {self.trials}")
+        # Each field's type is its first rule: a tuple is non-empty, an int is an int (not a bool).
+        for key, kind in _SPEC_TYPES.items():
+            values = (getattr(self, key),)
+            if get_origin(kind) is tuple:
+                values = tuple(values[0])
+                object.__setattr__(self, key, values)
+                if not values:
+                    raise SpecValueError(key, f"{key} must be non-empty")
+                key, kind = f"{key} item", get_args(kind)[0]
+            if kind is int:
+                for v in values:
+                    check_int(v, key)
+        for key in ("trials", "budget"):
+            if getattr(self, key) < 1:
+                raise SpecValueError(key, f"{key} must be >= 1, got {getattr(self, key)}")
         for r2 in self.radius_sq_values:
             if r2 < 1:
                 raise SpecValueError("radius_sq_values", f"radius_sq value {r2} must be >= 1")
         for m in self.anchor_counts:
             if not 3 <= m < self.n_nodes:
                 raise SpecValueError("anchor_counts", f"anchor count {m} outside [3, {self.n_nodes})")
+
+
+# Field name -> type: the keys of a spec file and the rules of SweepSpec.__post_init__.
+_SPEC_TYPES = get_type_hints(SweepSpec)
 
 
 @dataclass(frozen=True)
@@ -101,80 +110,70 @@ def run_sweep(
     if log is None:
         log = sys.stderr
     results: list[CellResult] = []
-    for radius_sq in spec.radius_sq_values:
-        for n_anchors in spec.anchor_counts:
-            n_unknowns = spec.n_nodes - n_anchors
-            # Trial t's instance, shared by this group's rule sets and orderings only.
-            instances: dict[int, Instance | None] = {}
-            for rules in spec.rule_sets:
-                for ordering in spec.orderings:
-                    sum_visits = 0.0
-                    sum_checks = 0.0
-                    unique = 0
-                    censored = 0
-                    gen_failed = 0
-                    wall = 0.0
-                    for t in range(spec.trials):
-                        if t not in instances:
-                            try:
-                                instances[t] = generate_instance(
-                                    spec.grid_side, radius_sq, spec.n_nodes, n_anchors,
-                                    seed=spec.base_seed + t,
-                                )
-                            except GenerationError:
-                                instances[t] = None
-                        inst = instances[t]
-                        if inst is None:
-                            gen_failed += 1
-                            continue
-                        problem = strip_instance(inst, keep_bounds=False)
-                        config = SolverConfig(
-                            rules=rules,
-                            ordering=ordering,
-                            seed=spec.base_seed + t,
-                            find_all=spec.find_all,
-                            budget=spec.budget,
-                        )
-                        t0 = time.perf_counter()
-                        result = solve(problem, config)
-                        wall += time.perf_counter() - t0
-                        if on_result is not None:
-                            on_result(inst, config, t, result)
-                        if result.stats.budget_exhausted:
-                            censored += 1
-                            continue
-                        sum_visits += result.stats.instances_visited / n_unknowns
-                        sum_checks += result.stats.candidates_checked / n_unknowns
-                        if len(result.solutions) == 1:
-                            unique += 1
-                    completed = spec.trials - gen_failed
-                    uncensored = completed - censored
-                    cell = CellResult(
-                        grid_side=spec.grid_side,
-                        n_nodes=spec.n_nodes,
-                        n_anchors=n_anchors,
-                        radius_sq=radius_sq,
-                        rules=rules,
-                        ordering=ordering,
-                        trials=spec.trials,
-                        mean_visits_per_unknown=sum_visits / uncensored if uncensored else math.nan,
-                        mean_checks_per_unknown=sum_checks / uncensored if uncensored else math.nan,
-                        unique_fraction=unique / uncensored if uncensored else math.nan,
-                        censored_fraction=censored / completed if completed else math.nan,
-                        wall_seconds=wall,
-                        generation_failures=gen_failed,
-                    )
-                    results.append(cell)
-                    r_over_c = math.sqrt(radius_sq) / spec.grid_side
-                    print(
-                        f"cell radius_sq={radius_sq} (r/C={r_over_c:.3f}) anchors={n_anchors} "
-                        f"rules={rules.value} ordering={ordering.value}: "
-                        f"visits/unknown={_fmt(cell.mean_visits_per_unknown)} "
-                        f"censored={censored}/{completed} gen_failures={gen_failed} "
-                        f"wall={wall:.2f}s",
-                        file=log,
-                    )
+    for radius_sq, n_anchors in product(spec.radius_sq_values, spec.anchor_counts):
+        n_unknowns = spec.n_nodes - n_anchors
+        # Trial t's instance (None where generation failed), shared by this group's cells only.
+        instances: list[Instance | None] = []
+        for t in range(spec.trials):
+            try:
+                instances.append(generate_instance(
+                    spec.grid_side, radius_sq, spec.n_nodes, n_anchors, seed=spec.base_seed + t,
+                ))
+            except GenerationError:
+                instances.append(None)
+        gen_failed = instances.count(None)
+        for rules, ordering in product(spec.rule_sets, spec.orderings):
+            wall = 0.0
+            done: list[SearchStats] = []
+            for t, inst in enumerate(instances):
+                if inst is None:
+                    continue
+                problem = strip_instance(inst, keep_bounds=False)
+                config = SolverConfig(
+                    rules=rules,
+                    ordering=ordering,
+                    seed=spec.base_seed + t,
+                    find_all=spec.find_all,
+                    budget=spec.budget,
+                )
+                t0 = time.perf_counter()
+                result = solve(problem, config)
+                wall += time.perf_counter() - t0
+                if on_result is not None:
+                    on_result(inst, config, t, result)
+                done.append(result.stats)
+            finished = [s for s in done if not s.budget_exhausted]
+            cell = CellResult(
+                grid_side=spec.grid_side,
+                n_nodes=spec.n_nodes,
+                n_anchors=n_anchors,
+                radius_sq=radius_sq,
+                rules=rules,
+                ordering=ordering,
+                trials=spec.trials,
+                mean_visits_per_unknown=_mean([s.instances_visited / n_unknowns for s in finished]),
+                mean_checks_per_unknown=_mean([s.candidates_checked / n_unknowns for s in finished]),
+                unique_fraction=_mean([s.solutions_found == 1 for s in finished]),
+                censored_fraction=_mean([s.budget_exhausted for s in done]),
+                wall_seconds=wall,
+                generation_failures=gen_failed,
+            )
+            results.append(cell)
+            r_over_c = math.sqrt(radius_sq) / spec.grid_side
+            print(
+                f"cell radius_sq={radius_sq} (r/C={r_over_c:.3f}) anchors={n_anchors} "
+                f"rules={rules.value} ordering={ordering.value}: "
+                f"visits/unknown={_fmt(cell.mean_visits_per_unknown)} "
+                f"censored={len(done) - len(finished)}/{len(done)} gen_failures={gen_failed} "
+                f"wall={wall:.2f}s",
+                file=log,
+            )
     return results
+
+
+def _mean(values: list) -> float:
+    """The mean of values, or nan for a mean over no trials."""
+    return sum(values) / len(values) if values else math.nan
 
 
 # ---------------------------------------------------------------------------
@@ -194,28 +193,27 @@ def _fmt(value: float) -> str:
     return f"{value:.{decimals}f}"
 
 
+# The CSV columns in order: each header name with the text of its value in a cell.
+_CSV_COLUMNS: tuple[tuple[str, Callable[[CellResult], str]], ...] = (
+    ("grid", lambda c: str(c.grid_side)),
+    ("nodes", lambda c: str(c.n_nodes)),
+    ("anchors", lambda c: str(c.n_anchors)),
+    ("radius_sq", lambda c: str(c.radius_sq)),
+    ("rules", lambda c: c.rules.value),
+    ("ordering", lambda c: c.ordering.value),
+    ("trials", lambda c: str(c.trials)),
+    ("mean_visits_per_unknown", lambda c: _fmt(c.mean_visits_per_unknown)),
+    ("mean_checks_per_unknown", lambda c: _fmt(c.mean_checks_per_unknown)),
+    ("unique_fraction", lambda c: _fmt(c.unique_fraction)),
+    ("censored_fraction", lambda c: _fmt(c.censored_fraction)),
+    ("wall_s", lambda c: _fmt(c.wall_seconds)),
+)
+CSV_HEADER = ",".join(name for name, _ in _CSV_COLUMNS)
+
+
 def write_csv(results: list[CellResult]) -> bytes:
     """Serialize cell results; byte-deterministic for a given result list."""
-    lines = [CSV_HEADER]
-    for c in results:
-        lines.append(
-            ",".join(
-                (
-                    str(c.grid_side),
-                    str(c.n_nodes),
-                    str(c.n_anchors),
-                    str(c.radius_sq),
-                    c.rules.value,
-                    c.ordering.value,
-                    str(c.trials),
-                    _fmt(c.mean_visits_per_unknown),
-                    _fmt(c.mean_checks_per_unknown),
-                    _fmt(c.unique_fraction),
-                    _fmt(c.censored_fraction),
-                    _fmt(c.wall_seconds),
-                )
-            )
-        )
+    lines = [CSV_HEADER] + [",".join(text(c) for _, text in _CSV_COLUMNS) for c in results]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -233,8 +231,6 @@ def parse_sweep_spec(text: bytes | str) -> SweepSpec:
     integer rule (model.parse_int). Every fault in a row, and every value SweepSpec
     rejects, is a ParseError naming its line; so is a missing required key, without one.
     """
-    spec_fields = {f.name: f for f in fields(SweepSpec)}
-    types = get_type_hints(SweepSpec)
     kwargs: dict = {}
     lines: dict[str, int] = {}
     for no, line in text_rows(text):
@@ -242,15 +238,15 @@ def parse_sweep_spec(text: bytes | str) -> SweepSpec:
         if len(parts) != 2:
             raise ParseError(f"expected 'key value', got {parts[0]!r} alone", no)
         key, raw = parts
-        if key not in spec_fields:
-            raise ParseError(f"unknown key {key!r} (expected one of {sorted(spec_fields)})", no)
+        if key not in _SPEC_TYPES:
+            raise ParseError(f"unknown key {key!r} (expected one of {sorted(_SPEC_TYPES)})", no)
         if key in kwargs:
             raise ParseError(f"duplicate key {key!r}", no)
-        kwargs[key] = _spec_value(types[key], raw, no, key)
+        kwargs[key] = _spec_value(_SPEC_TYPES[key], raw, no, key)
         lines[key] = no
-    for name, f in spec_fields.items():
-        if f.default is MISSING and name not in kwargs:
-            raise ParseError(f"spec is missing required key {name!r}")
+    for f in fields(SweepSpec):
+        if f.default is MISSING and f.name not in kwargs:
+            raise ParseError(f"spec is missing required key {f.name!r}")
     try:
         return SweepSpec(**kwargs)
     except SpecValueError as exc:

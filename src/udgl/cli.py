@@ -1,7 +1,8 @@
 """Command-line entry point: generate, solve, verify, bench, fixture.
 
 Exit codes: 0 success, 1 usage error, 2 parse/validation error,
-3 budget exhausted without a solution, 4 no solution exists.
+3 budget exhausted (the solutions found before it are still written),
+4 no solution exists.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from pathlib import Path
 
 from .bench import parse_sweep_spec, run_sweep, write_csv
 from .model import (
-    GenerationError,
     Instance,
     ParseError,
     Problem,
@@ -24,11 +24,8 @@ from .model import (
     text_rows,
     write_file,
 )
-from .oracle import CapExceededError, FixtureNotFoundError, find_fixture_f1
+from .oracle import FixtureNotFoundError, find_fixture_f1
 from .solver import (
-    AnchorMismatchError,
-    MissingNodeError,
-    NoEligibleNodeError,
     Ordering,
     RuleSet,
     SolverConfig,
@@ -125,11 +122,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         Path(args.output).write_bytes(text)
     else:
         sys.stdout.write(text.decode("utf-8"))
+    if result.stats.budget_exhausted:
+        found = len(result.solutions)
+        print(f"budget exhausted after {found} solution(s); others may exist" if found
+              else "budget exhausted before any solution was found", file=sys.stderr)
+        return 3
     if result.solutions:
         return 0
-    if result.stats.budget_exhausted:
-        print("budget exhausted before any solution was found", file=sys.stderr)
-        return 3
     print("no realization satisfies the constraints", file=sys.stderr)
     return 4
 
@@ -182,15 +181,7 @@ def main(argv: list[str] | None = None) -> int:
     except FixtureNotFoundError as exc:
         print(f"udgl: {exc}", file=sys.stderr)
         return 4
-    except (
-        ValueError,
-        GenerationError,
-        NoEligibleNodeError,
-        MissingNodeError,
-        AnchorMismatchError,
-        CapExceededError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         print(f"udgl: error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,7 @@ class Edge(NamedTuple):
     d2: int
 
 
-class GenerationError(Exception):
+class GenerationError(ValueError):
     """No valid instance was found within the resampling attempt budget."""
 
 

@@ -20,7 +20,7 @@ from .model import Instance, Problem, strip_instance
 from .solver import RuleSet
 
 
-class CapExceededError(Exception):
+class CapExceededError(ValueError):
     """The requested enumeration exceeds the configured work limit."""
 
 

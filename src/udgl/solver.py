@@ -47,15 +47,15 @@ class Ordering(Enum):
     MOST_CONNECTED = "most-connected"
 
 
-class NoEligibleNodeError(Exception):
+class NoEligibleNodeError(ValueError):
     """Some unknown can never become adjacent to the realized set (disconnected problem)."""
 
 
-class MissingNodeError(Exception):
+class MissingNodeError(ValueError):
     """An assignment handed to verify() does not cover every node."""
 
 
-class AnchorMismatchError(Exception):
+class AnchorMismatchError(ValueError):
     """An assignment handed to verify() moves an anchor."""
 
 

@@ -2,6 +2,7 @@ import gc
 import io
 import math
 import weakref
+from typing import get_args, get_type_hints
 
 import pytest
 
@@ -51,6 +52,17 @@ def test_spec_validation():
         tiny_spec(anchor_counts=(8,))
     with pytest.raises(ValueError):
         tiny_spec(radius_sq_values=())
+
+
+INT_FIELDS = [name for name, kind in get_type_hints(SweepSpec).items() if int in (kind, *get_args(kind))]
+
+
+@pytest.mark.parametrize("bad", [1.5, 3.0, True])
+@pytest.mark.parametrize("name", INT_FIELDS)
+def test_spec_int_fields_and_items_reject_floats_and_bools(name, bad):
+    value = getattr(tiny_spec(), name)
+    with pytest.raises(TypeError, match="must be an integer"):
+        tiny_spec(**{name: (bad,) + value[1:] if isinstance(value, tuple) else bad})
 
 
 def test_bad_radius_fails_before_any_cell_runs():
@@ -265,6 +277,7 @@ def test_parse_sweep_spec_reports_invalid_utf8_at_its_line():
         ("anchor_counts 3", "anchor_counts 3\ntrials 0", 6, "trials must be >= 1, got 0"),
         ("radius_sq_values 50", "radius_sq_values 40,0", 4, "radius_sq value 0 must be >= 1"),
         ("anchor_counts 3", "anchor_counts 3,10", 5, "anchor count 10 outside [3, 10)"),
+        ("anchor_counts 3", "anchor_counts 3\nbudget 0", 6, "budget must be >= 1, got 0"),
     ],
 )
 def test_parse_sweep_spec_names_the_line_of_each_fault(old, new, line, message):

@@ -1,8 +1,9 @@
 import pytest
 
 from udgl.cli import _build_parser, main
-from udgl.model import Edge, Instance, Problem, parse_file, write_file
-from udgl.solver import parse_solutions
+from udgl.model import Edge, GenerationError, Instance, Problem, parse_file, write_file
+from udgl.oracle import CapExceededError
+from udgl.solver import AnchorMismatchError, MissingNodeError, NoEligibleNodeError, parse_solutions
 from tests.conftest import FIXTURE_DIR
 
 
@@ -81,6 +82,17 @@ def test_solve_exit_3_on_budget_exhaustion(capsys):
     out = capsys.readouterr().out
     assert "budget_exhausted 1" in out
     assert out.startswith("solutions 0\n")
+
+
+def test_solve_exit_3_when_the_budget_runs_out_after_some_solutions(tmp_path, capsys):
+    net, sol = tmp_path / "net.udgl", tmp_path / "net.sol"
+    assert run("generate", "--grid", 30, "--radius-sq", 40, "--nodes", 20, "--anchors", 3, "--seed", 4, "-o", net) == 0
+    assert run("solve", net, "--rules", "conventional", "--budget", 200, "-o", sol) == 3
+    data = sol.read_bytes()
+    assert b"stat budget_exhausted 1\n" in data
+    found = len(parse_solutions(data))
+    assert found > 0 and data.startswith(f"solutions {found}\n".encode())
+    assert f"budget exhausted after {found} solution(s)" in capsys.readouterr().err
 
 
 def test_solve_exit_4_when_unsolvable(tmp_path, capsys):
@@ -248,6 +260,7 @@ def test_numeric_flags_take_plain_integers(value):
         ("bench", "grid_side 2x\n", 1),
         ("bench", "grid_side 20\nn_nodes\n", 2),
         ("bench", "grid_side 20\n# c\nnodes 10\n", 3),
+        ("bench", "grid_side 20\nn_nodes 10\nradius_sq_values 50\nanchor_counts 3\nbudget 0\n", 5),
     ],
 )
 def test_solution_and_spec_faults_print_their_line(tmp_path, capsys, command, text, line):
@@ -259,6 +272,14 @@ def test_solution_and_spec_faults_print_their_line(tmp_path, capsys, command, te
         argv = ("bench", "--spec", path, "-o", tmp_path / "out.csv")
     assert run(*argv) == 2
     assert capsys.readouterr().err.startswith(f"udgl: parse error: line {line}: ")
+
+
+@pytest.mark.parametrize(
+    "error", [GenerationError, NoEligibleNodeError, MissingNodeError, AnchorMismatchError, CapExceededError],
+)
+def test_library_errors_are_value_errors(error):
+    """main maps every ValueError to exit 2, so each library error that means bad input is one."""
+    assert issubclass(error, ValueError)
 
 
 def test_parse_errors_exit_2(tmp_path):
