@@ -147,10 +147,9 @@ def _check_anchors(points: list[Point], n: int, unknown_needed: bool) -> None:
         raise ValueError("anchor positions must not be collinear")
 
 
-def _check_network(positions: tuple[Point, ...], flags: tuple[bool, ...], edges: Iterable[Edge]) -> None:
-    """The rules of a whole Instance: its anchors leave an unknown, and its edge graph is connected."""
-    _check_anchors([p for p, f in zip(positions, flags) if f], len(positions), True)
-    if not _is_connected(len(positions), edges):
+def _check_connected(n: int, edges: Iterable[Edge]) -> None:
+    """The rule of a whole Instance's edges: its derived edge graph is connected."""
+    if not _is_connected(n, edges):
         raise ValueError("derived edge graph is not connected")
 
 
@@ -187,8 +186,9 @@ class Instance:
         object.__setattr__(self, "anchor_flags", flags)
         if len(flags) != len(positions):
             raise ValueError("anchor_flags length does not match positions")
+        _check_anchors([p for p, f in zip(positions, flags) if f], len(positions), True)
         object.__setattr__(self, "edges", tuple(Edge(*e) for e in pairs_within(positions, self.radius_sq)))
-        _check_network(positions, flags, self.edges)
+        _check_connected(len(positions), self.edges)
 
     @property
     def n_nodes(self) -> int:
@@ -450,6 +450,10 @@ def parse_file(data: bytes | str) -> Instance | Problem:
         )
     # Ground truth: every node is located, and its edges are the pairs within radius_sq.
     positions = tuple(coords[i] for i in range(n)) if located_unknowns else None
+    if positions is not None and grid is None:
+        raise ParseError("ground-truth file requires a 'grid' line")
+    anchors = {i: coords[i] for i in sorted(coords) if kinds[i] == "anchor"}
+    checked(None, _check_anchors, list(anchors.values()), n, positions is not None)
     derived = pairs_within(positions, radius_sq) if positions is not None else iter(())
 
     no, toks = take("edges", 1)
@@ -458,9 +462,23 @@ def parse_file(data: bytes | str) -> Instance | Problem:
         raise ParseError("edge count must be non-negative", no)
 
     edges: list[Edge] = []
-    missing = None  # the first implied edge that no line declares
+    missing = None  # the first implied edge that no line declares; no edge is kept after it
+    n_missing = 0
+
+    def mismatch() -> ParseError:
+        return ParseError(f"edge list does not match node geometry: missing {Edge(*missing)}")
+
+    def skip(e: tuple[int, int, int], unread: int) -> None:
+        """Count implied edge e as undeclared. Each unread line may still name one such edge,
+        out of order at its line, so the parse stops once more are undeclared than lines remain."""
+        nonlocal missing, n_missing
+        missing = missing or e
+        n_missing += 1
+        if n_missing > unread:
+            raise mismatch()
+
     last = -1
-    for _ in range(n_edges):
+    for unread in range(n_edges - 1, -1, -1):
         m = _EDGE_LINE.fullmatch(ahead[1]) if ahead is not None else None
         if m is not None:
             no = ahead[0]
@@ -479,27 +497,23 @@ def parse_file(data: bytes | str) -> Instance | Problem:
         # A checked ground-truth edge is within radius_sq and later than the last one:
         # the implied edges before it are missing.
         for e in derived:
-            edges.append(Edge(*e))
             if e[0] == i and e[1] == j:
                 break
-            missing = missing or e
+            skip(e, unread)
+        if missing is None:
+            edges.append(Edge(i, j, d2))
 
     if ahead is not None:
         raise ParseError(f"unexpected trailing line '{ahead[1].split(None, 1)[0]}'", ahead[0])
     for e in derived:
-        edges.append(Edge(*e))
-        missing = missing or e
+        skip(e, 0)
 
     if positions is None:
-        anchors = {i: coords[i] for i in sorted(coords)}
-        checked(None, _check_anchors, list(anchors.values()), n, False)
         return _prechecked(Problem, n_nodes=n, radius_sq=radius_sq, anchors=anchors, edges=tuple(edges), grid_side=grid)
-    if grid is None:
-        raise ParseError("ground-truth file requires a 'grid' line")
-    flags = tuple(kinds[i] == "anchor" for i in range(n))
-    checked(None, _check_network, positions, flags, edges)
     if missing:
-        raise ParseError(f"edge list does not match node geometry: missing {Edge(*missing)}")
+        raise mismatch()
+    checked(None, _check_connected, n, edges)
+    flags = tuple(kinds[i] == "anchor" for i in range(n))
     return _prechecked(
         Instance, grid_side=grid, radius_sq=radius_sq, positions=positions, anchor_flags=flags, edges=tuple(edges)
     )

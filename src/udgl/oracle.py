@@ -6,14 +6,14 @@ with no circle pivoting and no realization ordering. One mask function states
 the constraints against a set of placed points, and every surviving tuple is
 re-checked over all pairs by `satisfies`. A work limit bounds the candidate
 points examined. It shares only the geometry primitives with the solver.
+numpy is imported by the two functions that use it, so no other udgl command
+pays for loading it.
 """
 
 from __future__ import annotations
 
 from math import isqrt
 from typing import NamedTuple
-
-import numpy as np
 
 from .geometry import Point, collinear, dist2, lattice_circle
 from .model import Instance, Problem, strip_instance
@@ -114,6 +114,8 @@ def _fits(
     other placed point must lie farther than excl, which is 0 (distinct points)
     under conventional rules and radius_sq under unit-disk rules.
     """
+    import numpy as np
+
     mask = np.ones(px.shape, dtype=bool)
     for v, (vx, vy) in placed.items():
         s = (px - vx) ** 2 + (py - vy) ** 2
@@ -136,6 +138,8 @@ def brute_force_solutions(problem: Problem, rules: RuleSet, work_limit: int = 10
     plus every domain point each time an unknown is placed. Passing it raises
     CapExceededError, as does a reach box of more than 50M points.
     """
+    import numpy as np
+
     unknowns = problem.unknown_ids
     base = dict(problem.anchors)
     if not unknowns:

@@ -24,7 +24,7 @@ from heapq import heapify, heappop, heappush
 from math import isqrt
 from typing import NamedTuple
 
-from .geometry import Point, cell_rule, circle_offsets, dist2, pairs_within
+from .geometry import Point, cell_rule, check_int, circle_offsets, dist2, pairs_within
 from .model import ParseError, Problem, parse_int, text_rows
 
 
@@ -77,6 +77,11 @@ class SolverConfig:
     enforce_bounds: bool = False
 
     def __post_init__(self):
+        check_int(self.seed, "seed")
+        check_int(self.budget, "budget")
+        for key, kind in (("rules", RuleSet), ("ordering", Ordering), ("find_all", bool), ("enforce_bounds", bool)):
+            if not isinstance(getattr(self, key), kind):
+                raise TypeError(f"{key} must be a {kind.__name__}, got {getattr(self, key)!r}")
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
 

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from udgl.cli import _build_parser, main
@@ -300,3 +306,49 @@ def test_verify_routes_a_ground_truth_file_led_by_unicode_blank_lines(tmp_path):
     f1 = FIXTURE_DIR / "fixture_f1.udgl"
     led.write_bytes("\u3000\n\xa0\t\n".encode() + f1.read_bytes())
     assert run("verify", f1, led) == 0
+
+
+# Runs each argv list through cli.main in one fresh process, then the oracle on fixture f1,
+# printing whether numpy is in sys.modules after every step.
+_COLD_START = """
+import json, sys
+import udgl, udgl.cli
+steps = [["import udgl, udgl.cli", "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    code = udgl.cli.main(argv)
+    steps.append([argv[0], code, "numpy" in sys.modules])
+from udgl.oracle import brute_force_solutions
+from udgl.solver import RuleSet
+problem = udgl.strip_instance(udgl.parse_file(open(sys.argv[2], "rb").read()))
+found = brute_force_solutions(problem, RuleSet.UNIT_DISK)
+steps.append(["oracle", len(found), "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_only_the_oracle_loads_numpy(tmp_path):
+    net, sols, spec, csv = (tmp_path / name for name in ("net.udgl", "net.sol", "sweep.spec", "out.csv"))
+    spec.write_text(
+        "grid_side 14\nn_nodes 8\nradius_sq_values 40\nanchor_counts 3\n"
+        "rule_sets unit-disk\norderings most-connected\ntrials 1\nbase_seed 5\nbudget 50000\n"
+    )
+    runs = [
+        ["generate", "--grid", "20", "--radius-sq", "50", "--nodes", "10", "--anchors", "3", "--seed", "1",
+         "-o", str(net)],
+        ["solve", str(net), "--all", "-o", str(sols)],
+        ["verify", str(net), str(sols)],
+        ["bench", "--spec", str(spec), "-o", str(csv)],
+    ]
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", _COLD_START, json.dumps(runs), str(FIXTURE_DIR / "fixture_f1.udgl")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True,
+    ).stdout
+    assert json.loads(out) == [
+        ["import udgl, udgl.cli", False],
+        ["generate", 0, False],
+        ["solve", 0, False],
+        ["verify", 0, False],
+        ["bench", 0, False],
+        ["oracle", 1, True],
+    ]

@@ -445,6 +445,37 @@ def test_parse_peak_memory_is_a_small_multiple_of_the_instance():
     assert peak - base <= 2.2 * (size - base)
 
 
+def _dense_ground_truth(n: int, collinear_anchors: bool) -> bytes:
+    """n nodes packed row by row into a 40-wide block, radius_sq 3200 (every pair adjacent), edges 0."""
+    anchors = [(0, 0), (1, 0), (2, 0)] if collinear_anchors else [(0, 0), (1, 0), (0, 1)]
+    rest = [(x, y) for y in range(100) for x in range(40) if (x, y) not in anchors][: n - 3]
+    nodes = [f"node {i} anchor {x} {y}" for i, (x, y) in enumerate(anchors)]
+    nodes += [f"node {i} unknown {x} {y}" for i, (x, y) in enumerate(rest, start=3)]
+    return ("\n".join(["udgl 1", "grid 100", "radius_sq 3200", f"nodes {n}", *nodes, "edges 0"]) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "collinear_anchors, message",
+    [(False, r"missing Edge\(i=0, j=1, d2=1\)$"), (True, "anchor positions must not be collinear")],
+)
+def test_dense_ground_truth_parse_memory_grows_with_its_bytes(collinear_anchors, message):
+    """A file that implies every pair as an edge but declares none is rejected without walking
+    or keeping the implied edges: doubling its bytes at most 2.5x the parse's peak memory."""
+    peaks = []
+    for n in (600, 1200):
+        data = _dense_ground_truth(n, collinear_anchors)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=message):
+                parse_file(data)
+            peaks.append((len(data), tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+    (small, small_peak), (large, large_peak) = peaks
+    assert large >= 2 * small
+    assert large_peak <= 2.5 * small_peak
+
+
 _SOUP_WORDS = ["udgl", "grid", "radius_sq", "nodes", "node", "anchor", "unknown", "edges", "edge", "#", "1"]
 _SOUP_INTS = st.one_of(
     st.integers(-3, 12).map(str),

@@ -461,6 +461,26 @@ def test_solve_budget_flags_partial_results(fixture_f1, fixture_f2):
     assert res2.solutions == []
 
 
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ("budget", 1.5, TypeError),
+        ("budget", True, TypeError),
+        ("budget", 0, ValueError),
+        ("seed", 1.5, TypeError),
+        ("seed", "3", TypeError),
+        ("rules", "unit-disk", TypeError),
+        ("ordering", "random", TypeError),
+        ("find_all", "no", TypeError),
+        ("find_all", 1, TypeError),
+        ("enforce_bounds", None, TypeError),
+    ],
+)
+def test_solver_config_rejects_a_bad_field(field, value, error):
+    with pytest.raises(error, match=f"^{field} must be"):
+        SolverConfig(**{field: value})
+
+
 def test_solve_find_first_stops_early(fixture_f1):
     prob = strip_instance(fixture_f1)
     res = solve(prob, SolverConfig(rules=RuleSet.CONVENTIONAL, find_all=False))
