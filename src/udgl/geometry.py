@@ -50,11 +50,8 @@ def dist2(a: Sequence[int], b: Sequence[int]) -> int:
 
 @lru_cache(maxsize=None)
 def circle_offsets(s: int) -> tuple[Point, ...]:
-    """All integer offsets (dx, dy) with dx^2 + dy^2 == s, sorted by (dx, dy).
-
-    Scans dx over [-isqrt(s), isqrt(s)] and keeps dx where the remainder
-    s - dx^2 is a perfect square (integer square root test).
-    """
+    """All integer offsets (dx, dy) with dx^2 + dy^2 == s, sorted by (dx, dy): dx scans
+    [-isqrt(s), isqrt(s)] and is kept where the remainder s - dx^2 is a perfect square."""
     if s < 0:
         raise ValueError(f"squared radius must be non-negative, got {s}")
     root = isqrt(s)
@@ -111,11 +108,8 @@ def pairs_within(points: Sequence[Sequence[int]], r2: int) -> Iterator[tuple[int
 
 
 def lattice_circle(center: Sequence[int], s: int) -> list[Point]:
-    """All lattice points at squared distance s from center, sorted by (x, y).
-
-    Translation by the center preserves the lexicographic order of the
-    cached offsets, so the result is canonically ordered without re-sorting.
-    """
+    """All lattice points at squared distance s from center, sorted by (x, y): translation
+    by the center keeps the cached offsets' lexicographic order, so nothing is re-sorted."""
     cx, cy = center
     return [Point(cx + dx, cy + dy) for dx, dy in circle_offsets(s)]
 

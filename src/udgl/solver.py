@@ -5,9 +5,9 @@ circle around a realized neighbour and pruning candidates against the active
 rule set. CONVENTIONAL prunes with edge-length equalities and distinctness
 only; UNIT_DISK additionally requires every non-adjacent realized pair to be
 strictly farther apart than the radius, which is what collapses the tree.
-The order is static, so a solve plans every level once. sub_locations keeps
-the placements that meet a level's edge constraints; solve owns a cell list
-of the realized points and runs the no-edge test there, on nearby nodes only.
+The order is static, so a solve plans every level once. sub_locations gives a
+level's edge-consistent offsets from its pivot; solve walks them with an index,
+and runs the bounds test and the no-edge test (on its cell list of realized points).
 
 A solve call is sequential and mutates no process-wide state (the lattice
 circle cache is thread-safe); Problem and SolverConfig are immutable, so
@@ -184,13 +184,17 @@ class Level(NamedTuple):
 
 def plan_levels(problem: Problem, order: list[int], excl: int) -> list[Level]:
     """One Level per node of the order. The pivot is the realized neighbour whose
-    edge spans the fewest lattice circle points, lowest id on ties."""
+    edge spans the fewest lattice circle points, lowest id on ties. Only the levels'
+    own edge lengths get circles: an anchor-anchor edge may be far too long to scan."""
     adj = problem.adjacency
     realized = set(problem.anchors)
-    circles = {d2: circle_offsets(d2) for d2 in {e.d2 for e in problem.edges}}
+    circles: dict[int, tuple[Point, ...]] = {}
     plan: list[Level] = []
     for node in order:
         nbrs = [(m, d2) for m, d2 in adj[node].items() if m in realized]  # ids ascending
+        for _, d2 in nbrs:
+            if d2 not in circles:
+                circles[d2] = circle_offsets(d2)
         pivot, pivot_d2 = min(nbrs, key=lambda nb: len(circles[nb[1]]))
         checks = tuple(nb for nb in nbrs if nb[0] != pivot)
         expected = sum(1 for _, d2 in nbrs if d2 <= excl)
@@ -199,54 +203,49 @@ def plan_levels(problem: Problem, order: list[int], excl: int) -> list[Level]:
     return plan
 
 
-def sub_locations(level: Level, pos: list[Point | None], stats: SearchStats, bound: int | None = None) -> list[Point]:
-    """The placements of level.node that meet every edge constraint, in (x, y) order.
-
-    pos[i] is node i's point while i is realized. Every point of the pivot circle
-    counts toward stats.candidates_checked. A placement lies in [0, bound)^2 (if
-    bound is given) and has the exact length to each realized neighbour; the
-    no-edge test is left to solve, which owns the cell list of realized points.
+def sub_locations(level: Level, pos: list[Point | None], stats: SearchStats) -> tuple[Point, tuple[tuple[int, int], ...]]:
+    """The pivot's point and, in (dx, dy) order, the offsets from it that meet every
+    edge constraint of level.node: the planned circle itself when the pivot is the
+    one realized neighbour, else the at most two lattice points where the first
+    check's circle meets it that pass every check. pos[i] is node i's point while i
+    is realized. Every point of the pivot circle counts toward stats.candidates_checked.
     """
     _, pivot, a, offsets, checks, _ = level
-    cx, cy = pos[pivot]
+    centre = pos[pivot]
     stats.candidates_checked += len(offsets)
-    if checks:
-        # Survivors lie where the first check's circle meets the pivot's: with v
-        # the (non-zero) offset between the centres, |o|^2 = a and |o - v|^2 = d2
-        # give o.v = h, so o = (h*v + t*v_perp) / |v|^2 with t^2 = a*|v|^2 - h^2,
-        # a lattice point only when t is an integer and both divisions are exact.
-        m, d2 = checks[0]
-        qx, qy = pos[m]
-        vx = qx - cx
-        vy = qy - cy
-        n = vx * vx + vy * vy
-        k = a - d2 + n
-        h = k >> 1
-        disc = a * n - h * h
-        t = isqrt(disc) if disc >= 0 else -1
-        offsets = []
-        if not k & 1 and t * t == disc:
-            for s in (-t, t) if t else (0,):
-                px = h * vx - s * vy
-                py = h * vy + s * vx
-                if px % n == 0 and py % n == 0:
-                    offsets.append((px // n, py // n))
-            offsets.sort()
-    out: list[Point] = []
-    for dx, dy in offsets:
-        x = cx + dx
-        y = cy + dy
-        if bound is not None and not (0 <= x < bound and 0 <= y < bound):
-            continue
-        for m, d2 in checks:
-            px, py = pos[m]
-            px -= x
-            py -= y
-            if px * px + py * py != d2:
-                break
-        else:
-            out.append(Point(x, y))
-    return out
+    if not checks:
+        return centre, offsets
+    # Survivors lie where the first check's circle meets the pivot's: with v the
+    # (non-zero) offset between the centres, |o|^2 = a and |o - v|^2 = d2 give
+    # o.v = h, so o = (h*v + t*v_perp) / |v|^2 with t^2 = a*|v|^2 - h^2, a lattice
+    # point only when t is an integer and both divisions are exact.
+    cx, cy = centre
+    m, d2 = checks[0]
+    qx, qy = pos[m]
+    vx, vy = qx - cx, qy - cy
+    n = vx * vx + vy * vy
+    k = a - d2 + n
+    h = k >> 1
+    disc = a * n - h * h
+    t = isqrt(disc) if disc >= 0 else -1
+    out: list[tuple[int, int]] = []
+    if not k & 1 and t * t == disc:
+        for s in (-t, t) if t else (0,):
+            px = h * vx - s * vy
+            py = h * vy + s * vx
+            if px % n or py % n:
+                continue
+            dx, dy = px // n, py // n
+            for m, d2 in checks:
+                qx, qy = pos[m]
+                qx -= cx + dx
+                qy -= cy + dy
+                if qx * qx + qy * qy != d2:
+                    break
+            else:
+                out.append((dx, dy))
+        out.sort()
+    return centre, tuple(out)  # on the active path a tuple is smaller than the list
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +266,9 @@ def solve(problem: Problem, config: SolverConfig) -> SolutionSet:
     a leaf at depth N - M is a solution. The search stops early when find_all
     is false and a solution was recorded, or when instances_visited hits the
     budget, in which case budget_exhausted is flagged and the partial result
-    returned. The traversal keeps one candidate iterator per level of the
-    active path, so memory stays O(N) whatever the tree size.
+    returned. A level of the active path keeps only its offsets (the plan's shared
+    circle or at most two points) and an index into them, and a Point is built per
+    visit, so memory stays O(N) whatever the tree or circle size.
     """
     if config.enforce_bounds and problem.grid_side is None:
         raise ValueError("enforce_bounds requires a problem that kept its grid bounds")
@@ -290,69 +290,74 @@ def solve(problem: Problem, config: SolverConfig) -> SolutionSet:
     for p in problem.anchors.values():
         cells.setdefault((p.x // side, p.y // side), []).append(p)
     get = cells.get
-    bound = problem.grid_side if config.enforce_bounds else None
+    bounded, grid = config.enforce_bounds, problem.grid_side
     solutions: list[dict[int, Point]] = []
     budget = config.budget
     find_all = config.find_all
     visits = max_depth = 0
-    # it yields the edge-consistent candidates of level depth - 1, which must have
-    # expected realized points within excl; parents holds the suspended iterators
-    # of the levels above, whose nodes are placed.
-    it = iter(sub_locations(plan[0], pos, stats, bound))
+    # Level depth - 1 tries offsets[k:] from (cx, cy), whose placements must have
+    # expected realized points within excl; parents holds each level above's offsets and k.
+    (cx, cy), offsets = sub_locations(plan[0], pos, stats)
+    k = 0
     expected = plan[0].expected
     parents = []
     depth = 1
-    stopped = False
     while True:
-        for point in it:
-            # The no-edge test: the realized neighbours within excl are the only
-            # realized points allowed there (and with excl = 0, distinctness).
-            x, y = point
-            kx = x // side
-            ky = y // side
-            hits = 0
-            for i, j in around:
-                for px, py in get((kx + i, ky + j), ()):
-                    px -= x
-                    py -= y
-                    if px * px + py * py <= excl:
-                        hits += 1
-                if hits > expected:
-                    break
-            if hits != expected:
-                continue
-            if visits >= budget:
-                stats.budget_exhausted = stopped = True
-                break
-            visits += 1
-            if depth > max_depth:
-                max_depth = depth
-            node = order[depth - 1]
-            pos[node] = point
-            if depth == n_levels:
-                solutions.append(dict(enumerate(pos)))
-                if find_all:
-                    continue
-                stopped = True
-                break
-            children = sub_locations(plan[depth], pos, stats, bound)
-            if children:
-                cells.setdefault((kx, ky), []).append(point)
-                parents.append(it)
-                it = iter(children)
-                expected = plan[depth].expected
-                depth += 1
-                break
-        else:
+        if k == len(offsets):
             if not parents:
                 break
-            it = parents.pop()
+            k = parents.pop()
+            offsets = parents.pop()
             depth -= 1
-            expected = plan[depth - 1].expected
-            x, y = pos[order[depth - 1]]
+            level = plan[depth - 1]
+            cx, cy = pos[level.pivot]
+            expected = level.expected
+            x, y = pos[level.node]
             cells[x // side, y // side].pop()
-        if stopped:
+            continue
+        dx, dy = offsets[k]
+        k += 1
+        x, y = cx + dx, cy + dy
+        if bounded and not (0 <= x < grid and 0 <= y < grid):
+            continue
+        # The no-edge test: the realized neighbours within excl are the only
+        # realized points allowed there (and with excl = 0, distinctness).
+        kx = x // side
+        ky = y // side
+        hits = 0
+        for i, j in around:
+            for px, py in get((kx + i, ky + j), ()):
+                px -= x
+                py -= y
+                if px * px + py * py <= excl:
+                    hits += 1
+            if hits > expected:
+                break
+        if hits != expected:
+            continue
+        if visits >= budget:
+            stats.budget_exhausted = True
             break
+        visits += 1
+        if depth > max_depth:
+            max_depth = depth
+        pos[order[depth - 1]] = point = Point(x, y)
+        if depth == n_levels:
+            solutions.append(dict(enumerate(pos)))
+            if find_all:
+                continue
+            break
+        level = plan[depth]
+        centre, children = sub_locations(level, pos, stats)
+        if children:
+            cells.setdefault((kx, ky), []).append(point)
+            parents.append(offsets)
+            parents.append(k)
+            offsets = children
+            k = 0
+            cx, cy = centre
+            expected = level.expected
+            depth += 1
     stats.instances_visited = visits
     stats.max_depth_reached = max_depth
     stats.solutions_found = len(solutions)

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
 import sys
+import tracemalloc
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +191,12 @@ def first_level(prob, rules=RuleSet.UNIT_DISK):
     return level, [prob.anchors.get(i) for i in range(prob.n_nodes)]
 
 
+def placed(level, pos, stats):
+    """The points that sub_locations' offsets stand for: each offset from the pivot's point."""
+    (cx, cy), offsets = sub_locations(level, pos, stats)
+    return [(cx + dx, cy + dy) for dx, dy in offsets]
+
+
 def placements(prob, rules):
     """Every placement solve finds for the one unknown of prob, in search order."""
     (unknown,) = prob.unknown_ids
@@ -203,7 +213,7 @@ def test_sub_locations_empty_circle():
     stats = SearchStats()
     level, pos = first_level(prob)
     assert (level.node, level.pivot, level.offsets) == (3, 0, ())
-    out = sub_locations(level, pos, stats)
+    out = placed(level, pos, stats)
     assert out == []
     assert stats.candidates_checked == 0  # no lattice point has squared length 3
 
@@ -220,7 +230,7 @@ def test_sub_locations_two_circle_intersection():
         level, pos = first_level(prob, rules)
         assert (level.pivot, level.checks) == (0, ((1, 25),))  # equal circles: lowest id pivots
         assert level.expected == (2 if rules is RuleSet.UNIT_DISK else 0)
-        out = sub_locations(level, pos, stats)
+        out = placed(level, pos, stats)
         assert out == [(5, 0)]
         assert stats.candidates_checked == 12  # the pivot circle of squared radius 25
         assert placements(prob, rules) == [(5, 0)]
@@ -235,7 +245,7 @@ def test_sub_locations_candidate_count_is_pivot_circle_size(fixture_f1):
     stats = SearchStats()
     level, pos = first_level(prob)
     assert (level.node, level.pivot) == (unknown, best[1])
-    out = sub_locations(level, pos, stats)
+    out = placed(level, pos, stats)
     assert stats.candidates_checked == best[0]
     # the edges leave both flip placements; only the ground truth survives unit-disk rules
     truth = fixture_f1.assignment()[unknown]
@@ -254,11 +264,13 @@ def test_sub_locations_respects_bounds_flag():
     )
     stats = SearchStats()
     level, pos = first_level(prob)
-    free = sub_locations(level, pos, stats)
+    free = placed(level, pos, stats)
     assert free == [(-1, 1), (1, 1)]
-    bounded = sub_locations(level, pos, stats, bound=prob.grid_side)
+    # The bounds test is solve's: its cursor skips the offsets that leave the grid.
+    res = solve(prob, SolverConfig(enforce_bounds=True))
+    bounded = [s[3] for s in res.solutions]
     assert bounded == [(1, 1)]
-    assert stats.candidates_checked == 8
+    assert stats.candidates_checked + res.stats.candidates_checked == 8
 
 
 def test_plan_levels_follow_the_order():
@@ -310,14 +322,17 @@ def test_cell_list_rejects_coincident_point_under_conventional_rules():
     assert (res.stats.candidates_checked, res.stats.instances_visited) == (12, 11)
 
 
+def chain_problem(lengths, d2_max):
+    """A path off anchor 2 at (-5, 0) whose k-th edge has squared length lengths[k]: find-first
+    always takes the offset with the most negative dx, so it never collides or backtracks."""
+    n = len(lengths) + 3
+    edges = tuple(Edge(k - 1, k, d2) for k, d2 in zip(range(3, n), lengths))
+    return Problem(n_nodes=n, radius_sq=d2_max, anchors={0: (0, 0), 1: (0, 5), 2: (-5, 0)}, edges=edges)
+
+
 def test_deep_chain_leaves_recursion_limit_alone():
     n = 20_000
-    prob = Problem(
-        n_nodes=n,
-        radius_sq=1,
-        anchors={0: (0, 0), 1: (0, 5), 2: (-5, 0)},
-        edges=tuple(Edge(k - 1, k, 1) for k in range(3, n)),
-    )
+    prob = chain_problem([1] * (n - 3), 1)
     before = sys.getrecursionlimit()
     try:
         sys.setrecursionlimit(1000)
@@ -327,6 +342,77 @@ def test_deep_chain_leaves_recursion_limit_alone():
         sys.setrecursionlimit(before)
     assert res.stats.instances_visited == res.stats.max_depth_reached == n - 3
     assert res.solutions[0][n - 1] == (-5 - (n - 3), 0)  # find-first always steps to -x
+
+
+def test_active_path_memory_does_not_grow_with_the_circle():
+    """A level of the active path holds a cursor, not its candidates: the 48-point circle of
+    d2 = 5525 peaks like the 4-point circle of d2 = 1 (circle cache warm, 3000-node chains)."""
+    peaks = []
+    for d2 in (1, 5525):
+        prob = chain_problem([d2] * 2997, d2)
+        config = SolverConfig(rules=RuleSet.CONVENTIONAL, find_all=False)
+        solve(prob, config)
+        tracemalloc.start()
+        try:
+            res = solve(prob, config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert res.stats.instances_visited == 2997
+    assert max(peaks) <= 1.5 * min(peaks), peaks
+
+
+def test_find_first_chain_counts_each_pivot_circle_once():
+    """Each level is expanded once, and an expansion counts its whole pivot circle, however
+    few of its points the cursor reaches."""
+    rng = random.Random(3)
+    lengths = [rng.choice((1, 2, 4, 5, 8, 9, 10, 13, 16, 17, 18, 20, 25)) for _ in range(500)]
+    for ordering in Ordering:
+        res = solve(chain_problem(lengths, 25), SolverConfig(rules=RuleSet.CONVENTIONAL, ordering=ordering, find_all=False))
+        assert res.stats.instances_visited == res.stats.max_depth_reached == 500
+        assert res.stats.candidates_checked == sum(len(circle_offsets(d2)) for d2 in lengths)
+
+
+def test_enforce_bounds_keeps_exactly_the_in_grid_solutions():
+    rng = random.Random(11)
+    done = clipped = 0
+    while done < 30:
+        try:
+            inst = generate_instance(12, rng.choice((8, 13, 20)), 8, 3, seed=rng.randint(0, 10**6), max_attempts=40)
+        except GenerationError:
+            continue
+        done += 1
+        prob = strip_instance(inst, keep_bounds=True)
+        for rules in RuleSet:
+            free = solve(prob, SolverConfig(rules=rules)).solutions
+            bounded = solve(prob, SolverConfig(rules=rules, enforce_bounds=True)).solutions
+            assert bounded == [s for s in free if all(0 <= c < 12 for p in s.values() for c in p)]
+            assert inst.assignment() in bounded
+            clipped += len(bounded) < len(free)
+    assert clipped > 0
+
+
+_HUGE_ANCHOR_EDGE = """
+import sys
+from udgl.model import Edge, Problem
+from udgl.solver import RuleSet, SolverConfig, solve
+far = 10**9 - 1
+edges = (Edge(0, 1, far * far), Edge(0, 2, 49), Edge(0, 3, 1), Edge(2, 3, 36))
+prob = Problem(n_nodes=4, radius_sq=far * far, anchors={0: (0, 0), 1: (far, 0), 2: (0, 7)}, edges=edges)
+print([tuple(s[3]) for s in solve(prob, SolverConfig(rules=RuleSet(sys.argv[1]))).solutions])
+"""
+
+
+@pytest.mark.parametrize("rules", list(RuleSet))
+def test_huge_anchor_edge_does_not_hang_solve(rules):
+    """No level uses the (10^9 - 1)^2 anchor-anchor edge, so its circle is never scanned. A child
+    process under a timeout turns a regression into a failure rather than a hang."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", _HUGE_ANCHOR_EDGE, rules.value],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=30, check=True,
+    )
+    assert out.stdout.strip() == "[(0, 1)]"
 
 
 def test_sub_locations_matches_circle_walk_reference():
@@ -353,7 +439,7 @@ def test_sub_locations_matches_circle_walk_reference():
                 edge_ok = [
                     c for c in circle if all(dist2(c, realized[m]) == d2 for m, d2 in adj.items() if m in realized)
                 ]
-                assert sub_locations(level, pos, SearchStats()) == edge_ok
+                assert placed(level, pos, SearchStats()) == edge_ok
                 expected = [
                     c
                     for c in circle
