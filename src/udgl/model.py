@@ -377,7 +377,9 @@ def parse_file(data: bytes | str) -> Instance | Problem:
     outside [1, radius_sq], and edge lengths inconsistent with two given positions.
     One pass checks each row once, by the constructors' own rules, and builds the result
     without running a constructor. A ground-truth file's edge lines are matched in step
-    with the edges its positions imply, and only those are kept.
+    with the edges its positions imply, and only those are kept: a line written exactly as
+    write_file writes the next implied edge is taken as it stands, any other is tokenized
+    and checked.
     """
     rows = text_rows(data)
     ahead = next(rows, None)  # the next non-blank, non-comment row
@@ -478,7 +480,18 @@ def parse_file(data: bytes | str) -> Instance | Problem:
             raise mismatch()
 
     last = -1
+    # The first implied edge after last: every edge line before it was matched or skipped.
+    peek = next(derived, None)
     for unread in range(n_edges - 1, -1, -1):
+        if peek is not None and ahead is not None and ahead[1] == f"edge {peek[0]} {peek[1]} {peek[2]}":
+            # Written as write_file writes the next implied edge, the line is that edge, so it
+            # meets every edge rule: canonical, after last, 1 <= d2 <= radius_sq, exact.
+            if missing is None:
+                edges.append(Edge._make(peek))
+            last = peek[0] * n + peek[1]
+            ahead = next(rows, None)
+            peek = next(derived, None)
+            continue
         m = _EDGE_LINE.fullmatch(ahead[1]) if ahead is not None else None
         if m is not None:
             no = ahead[0]
@@ -494,19 +507,19 @@ def parse_file(data: bytes | str) -> Instance | Problem:
         if positions is None:
             edges.append(Edge(i, j, d2))
             continue
-        # A checked ground-truth edge is within radius_sq and later than the last one:
+        # A checked ground-truth edge is an implied edge after last, so peek reaches it:
         # the implied edges before it are missing.
-        for e in derived:
-            if e[0] == i and e[1] == j:
-                break
-            skip(e, unread)
+        while peek[0] != i or peek[1] != j:
+            skip(peek, unread)
+            peek = next(derived, None)
+        peek = next(derived, None)
         if missing is None:
             edges.append(Edge(i, j, d2))
 
     if ahead is not None:
         raise ParseError(f"unexpected trailing line '{ahead[1].split(None, 1)[0]}'", ahead[0])
-    for e in derived:
-        skip(e, 0)
+    if peek is not None:
+        skip(peek, 0)
 
     if positions is None:
         return _prechecked(Problem, n_nodes=n, radius_sq=radius_sq, anchors=anchors, edges=tuple(edges), grid_side=grid)

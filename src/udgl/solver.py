@@ -21,6 +21,7 @@ from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import isqrt
 from typing import NamedTuple
 
@@ -120,10 +121,11 @@ def realization_order(problem: Problem, ordering: Ordering, seed: int = 0) -> li
 
     The order is built in O(E log N) comparisons, because the eligible
     frontier is kept incrementally and never rebuilt. MOST_CONNECTED pops a
-    lazy max-heap keyed (-count, id) that gets a fresh entry whenever a count
-    rises, and skips stale entries (at most one per edge). RANDOM keeps the
-    eligible ids in a list sorted with bisect, whose inserts and pops shift
-    at most the frontier in one memmove.
+    lazy min-heap of int keys id - count * N (a larger count first, then the
+    lower id) that gets a fresh entry whenever a count rises, and skips stale
+    entries (at most one per edge). RANDOM keeps the eligible ids in a list
+    sorted with bisect, whose inserts and pops shift at most the frontier in
+    one memmove.
     """
     adj = problem.adjacency
     n = problem.n_nodes
@@ -136,15 +138,16 @@ def realization_order(problem: Problem, ordering: Ordering, seed: int = 0) -> li
     most = ordering is Ordering.MOST_CONNECTED
     frontier = [u for u in range(n) if counts[u] and not realized[u]]
     if most:
-        frontier = [(-counts[u], u) for u in frontier]
+        frontier = [u - counts[u] * n for u in frontier]
         heapify(frontier)
     rng = random.Random(seed)
     order: list[int] = []
     for _ in range(n - len(problem.anchors)):
         if most:
             while frontier:
-                c, pick = heappop(frontier)
-                if counts[pick] == -c:  # one entry per (count, id): this one is live
+                key = heappop(frontier)
+                pick = key % n
+                if key == pick - counts[pick] * n:  # one entry per (count, id): this one is live
                     break
             else:
                 pick = None
@@ -159,7 +162,7 @@ def realization_order(problem: Problem, ordering: Ordering, seed: int = 0) -> li
             if not realized[v]:
                 counts[v] += 1
                 if most:
-                    heappush(frontier, (-counts[v], v))
+                    heappush(frontier, v - counts[v] * n)
                 elif counts[v] == 1:
                     insort(frontier, v)
     return order
@@ -191,14 +194,22 @@ def plan_levels(problem: Problem, order: list[int], excl: int) -> list[Level]:
     circles: dict[int, tuple[Point, ...]] = {}
     plan: list[Level] = []
     for node in order:
-        nbrs = [(m, d2) for m, d2 in adj[node].items() if m in realized]  # ids ascending
-        for _, d2 in nbrs:
-            if d2 not in circles:
-                circles[d2] = circle_offsets(d2)
-        pivot, pivot_d2 = min(nbrs, key=lambda nb: len(circles[nb[1]]))
-        checks = tuple(nb for nb in nbrs if nb[0] != pivot)
-        expected = sum(1 for _, d2 in nbrs if d2 <= excl)
-        plan.append(Level(node, pivot, pivot_d2, circles[pivot_d2], checks, expected))
+        checks = []  # the realized neighbours, ids ascending; the pivot is taken out below
+        expected = 0
+        best = None
+        for m, d2 in adj[node].items():
+            if m not in realized:
+                continue
+            circle = circles.get(d2)
+            if circle is None:
+                circle = circles[d2] = circle_offsets(d2)
+            if best is None or len(circle) < len(best):
+                at, best = len(checks), circle
+            if d2 <= excl:
+                expected += 1
+            checks.append((m, d2))
+        pivot, pivot_d2 = checks.pop(at)
+        plan.append(Level(node, pivot, pivot_d2, best, tuple(checks), expected))
         realized.add(node)
     return plan
 
@@ -388,17 +399,25 @@ def verify(problem: Problem, assignment: dict[int, Point], rules: RuleSet) -> Vi
         if q[0] != p.x or q[1] != p.y:
             raise AnchorMismatchError(f"anchor {a} moved from {tuple(p)} to {(q[0], q[1])}")
 
-    # Edge mismatches come from the edge list; every other violation is a pair within
-    # the exclusion radius, walked in (i, j) order only up to the first mismatched edge.
+    # One merge, in (i, j) order, of the pairs within the exclusion radius with the sorted
+    # edges: a pair that is an edge is checked by its own length, a pair that is not is a
+    # clash, and only an edge the walk passes over (its ends lie farther apart) costs a dist2.
+    # The pair (n, n, 0) closes the walk; it meets the edge end, which follows every edge.
     points = [assignment[i] for i in range(n)]
-    mismatch = min(((e.i, e.j) for e in problem.edges if dist2(points[e.i], points[e.j]) != e.d2), default=None)
-    adj = problem.adjacency
-    for i, j, s in pairs_within(points, rules.exclusion(problem.radius_sq)):
-        if mismatch is not None and (i, j) >= mismatch:
-            break
-        if j not in adj[i]:
+    edges = iter(problem.edges)
+    end = (n, n, 0)
+    a, b, d2 = next(edges, end)
+    for i, j, s in chain(pairs_within(points, rules.exclusion(problem.radius_sq)), (end,)):
+        while a < i or (a == i and b < j):
+            if dist2(points[a], points[b]) != d2:
+                return Violation("edge", a, b)
+            a, b, d2 = next(edges, end)
+        if a != i or b != j:
             return Violation("no_edge" if s else "distinct", i, j)
-    return None if mismatch is None else Violation("edge", *mismatch)
+        if s != d2:
+            return Violation("edge", i, j)
+        a, b, d2 = next(edges, end)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +432,10 @@ def verify(problem: Problem, assignment: dict[int, Point], rules: RuleSet) -> Vi
 #   stat candidates_checked <v>
 #   stat max_depth <v>
 #   stat budget_exhausted <0|1>
+#
+# The stat lines are optional; those present come after the last solution, in this order.
+
+_STATS = ("instances_visited", "candidates_checked", "max_depth", "budget_exhausted")
 
 
 def format_solution_set(result: SolutionSet, n_nodes: int) -> bytes:
@@ -424,17 +447,17 @@ def format_solution_set(result: SolutionSet, n_nodes: int) -> bytes:
             x, y = sol[i]
             lines.append(f"node {i} {x} {y}")
     s = result.stats
-    lines.append(f"stat instances_visited {s.instances_visited}")
-    lines.append(f"stat candidates_checked {s.candidates_checked}")
-    lines.append(f"stat max_depth {s.max_depth_reached}")
-    lines.append(f"stat budget_exhausted {1 if s.budget_exhausted else 0}")
+    values = (s.instances_visited, s.candidates_checked, s.max_depth_reached, int(s.budget_exhausted))
+    lines += [f"stat {name} {v}" for name, v in zip(_STATS, values)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def parse_solutions(data: bytes | str) -> list[dict[int, Point]]:
     """Parse the solution text format back into assignments (stat lines are checked, not returned).
 
-    Rows follow the udgl line grammar (model.text_rows, model.parse_int). Every fault is a
+    Rows follow the udgl line grammar (model.text_rows, model.parse_int). Each stat line names
+    one of the stats format_solution_set writes, once at most, in its order and after the last
+    solution; its value is non-negative, and budget_exhausted is 0 or 1. Every fault is a
     ParseError at its line; a count that the 'sol' blocks disagree with names the 'solutions' line.
     """
     rows = text_rows(data)
@@ -445,6 +468,7 @@ def parse_solutions(data: bytes | str) -> list[dict[int, Point]]:
     count = parse_int(toks[1], head_no, "solution count")
     out: list[dict[int, Point]] = []
     current: dict[int, Point] | None = None
+    stat = -1  # the _STATS index of the last stat line, -1 before the first
     for no, line in rows:
         kind, *args = line.split()
         n_fields = {"sol": 1, "node": 3, "stat": 2}.get(kind)
@@ -452,6 +476,8 @@ def parse_solutions(data: bytes | str) -> list[dict[int, Point]]:
             raise ParseError(f"unexpected keyword {kind!r}", no)
         if len(args) != n_fields:
             raise ParseError(f"'{kind}' line has {len(args)} fields, expected {n_fields}", no)
+        if kind != "stat" and stat >= 0:
+            raise ParseError(f"'{kind}' line after a 'stat' line", no)
         if kind == "sol":
             if parse_int(args[0], no, "solution index") != len(out):
                 raise ParseError(f"expected 'sol {len(out)}'", no)
@@ -465,7 +491,17 @@ def parse_solutions(data: bytes | str) -> list[dict[int, Point]]:
                 raise ParseError(f"duplicate node {node_id} in solution {len(out) - 1}", no)
             current[node_id] = Point(parse_int(args[1], no, "x coordinate"), parse_int(args[2], no, "y coordinate"))
         else:
-            parse_int(args[1], no, "stat value")
+            name = args[0]
+            if name not in _STATS:
+                raise ParseError(f"unknown stat {name!r}", no)
+            if _STATS.index(name) <= stat:
+                raise ParseError(f"stat {name!r} repeated or out of order (order: {', '.join(_STATS)})", no)
+            stat = _STATS.index(name)
+            value = parse_int(args[1], no, "stat value")
+            if value < 0:
+                raise ParseError(f"stat {name!r} must be non-negative, got {value}", no)
+            if name == "budget_exhausted" and value > 1:
+                raise ParseError(f"stat 'budget_exhausted' must be 0 or 1, got {value}", no)
     if len(out) != count:
         raise ParseError(f"file declares {count} solutions but contains {len(out)}", head_no)
     return out

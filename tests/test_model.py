@@ -2,6 +2,7 @@ import contextlib
 import io
 import random
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -413,6 +414,79 @@ def test_parse_names_smallest_missing_edge():
         with pytest.raises(ParseError) as info:
             parse_file(f"{head}edges {len(kept)}\n{body}")
         assert str(info.value) == f"edge list does not match node geometry: missing {min(set(inst.edges) - set(kept))}"
+
+
+def _respaced(text: str) -> str:
+    """text with every edge row spaced unlike write_file (edge\\t0  2 9): the same file to the
+    line grammar, but no row reads as write_file writes it."""
+    return "".join(
+        (line.replace("edge ", "edge\t", 1).replace(" ", "  ", 1) if line.startswith("edge ") else line) + "\n"
+        for line in text.splitlines()
+    )
+
+
+def _edge_row_faults(inst: Instance, k: int) -> dict[str, str]:
+    """The canonical file of inst with one fault at its k-th edge row, by name: each fault
+    replaces some rows from there on (the last row has none to swap with)."""
+    lines = write_file(inst).decode().splitlines()
+    at = lines.index(f"edges {len(inst.edges)}") + 1 + k
+    i, j, d2 = inst.edges[k]
+    implied = {(e.i, e.j) for e in inst.edges}
+    a, b = next((a, b) for a in range(i, inst.n_nodes) for b in range(a + 1, inst.n_nodes) if (a, b) not in implied)
+    edits = {  # name: (rows replaced, new rows)
+        "d2+1": (1, [f"edge {i} {j} {d2 + 1}"]),
+        "d2-1": (1, [f"edge {i} {j} {d2 - 1}"]),
+        "deleted": (1, []),
+        "duplicated": (0, [lines[at]]),
+        "not implied": (1, [f"edge {a} {b} {dist2(inst.positions[a], inst.positions[b])}"]),
+        "comment": (0, ["# between two edge rows"]),
+    }
+    if k + 1 < len(inst.edges):
+        edits["swapped"] = (2, [lines[at + 1], lines[at]])
+    return {name: "\n".join(lines[:at] + new + lines[at + cut :]) + "\n" for name, (cut, new) in edits.items()}
+
+
+def _outcome(text: str):
+    try:
+        return parse_file(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+@pytest.mark.parametrize(
+    "size, rows, ends",
+    [((30, 60, 60, 4), 12, True), ((12, 20, 8, 3), 4, True), ((1000, 2500, 3000, 30), 1, False)],
+)
+def test_matched_and_tokenized_edge_rows_agree(size, rows, ends):
+    """A canonical file's edge rows are matched as written; respaced ones are tokenized and
+    checked. Both read the same Instance, and with any one fault the same error at the same line."""
+    rng = random.Random(size[2])
+    inst = generate_instance(*size, seed=rng.randrange(10**6))
+    canonical = write_file(inst).decode()
+    assert parse_file(canonical) == parse_file(_respaced(canonical)) == inst
+    ks = set(rng.sample(range(1, len(inst.edges) - 1), rows)) | ({0, len(inst.edges) - 1} if ends else set())
+    kinds = set()
+    for k in sorted(ks):
+        for kind, text in _edge_row_faults(inst, k).items():
+            want = _outcome(text)
+            assert _outcome(_respaced(text)) == want, (k, kind)
+            assert (want == inst) == (kind == "comment"), (k, kind, want)
+            kinds.add(kind)
+    assert len(kinds) == 7
+
+
+def test_respaced_ground_truth_parses_in_linear_time():
+    """Every respaced row takes the tokenizing path and resumes the walk of the implied edges
+    where it stands, so the whole file costs about what a canonical one does (min of 5 each)."""
+    canonical = write_file(generate_instance(1000, 2500, 3000, 30, seed=0)).decode()
+    respaced = _respaced(canonical)
+    best = {canonical: float("inf"), respaced: float("inf")}
+    for _ in range(5):
+        for text in best:
+            start = time.perf_counter()
+            parse_file(text)
+            best[text] = min(best[text], time.perf_counter() - start)
+    assert best[respaced] <= 3 * best[canonical]
 
 
 @pytest.mark.parametrize(

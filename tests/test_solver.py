@@ -12,6 +12,7 @@ from udgl.geometry import cell_rule, circle_offsets, collinear, dist2, lattice_c
 from udgl.model import Edge, GenerationError, ParseError, Problem, generate_instance, strip_instance
 from udgl.solver import (
     AnchorMismatchError,
+    Level,
     MissingNodeError,
     NoEligibleNodeError,
     Ordering,
@@ -271,6 +272,38 @@ def test_sub_locations_respects_bounds_flag():
     bounded = [s[3] for s in res.solutions]
     assert bounded == [(1, 1)]
     assert stats.candidates_checked + res.stats.candidates_checked == 8
+
+
+def plan_levels_reference(problem, order, excl):
+    """Reference plan: list each level's realized neighbours, then take the pivot with min()."""
+    realized = set(problem.anchors)
+    plan = []
+    for node in order:
+        nbrs = [(m, d2) for m, d2 in problem.adjacency[node].items() if m in realized]
+        pivot, pivot_d2 = min(nbrs, key=lambda nb: len(circle_offsets(nb[1])))
+        checks = tuple(nb for nb in nbrs if nb[0] != pivot)
+        expected = sum(1 for _, d2 in nbrs if d2 <= excl)
+        plan.append(Level(node, pivot, pivot_d2, circle_offsets(pivot_d2), checks, expected))
+        realized.add(node)
+    return plan
+
+
+def test_plan_levels_matches_reference():
+    rng = random.Random(3)
+    done = 0
+    while done < 40:
+        try:
+            inst = generate_instance(20, rng.choice((5, 25, 50, 100)), rng.randint(6, 40), 3,
+                                     seed=rng.randint(0, 10**6), max_attempts=40)
+        except GenerationError:
+            continue
+        done += 1
+        prob = strip_instance(inst)
+        for ordering in Ordering:
+            order = realization_order(prob, ordering, seed=done)
+            for rules in RuleSet:
+                excl = rules.exclusion(prob.radius_sq)
+                assert plan_levels(prob, order, excl) == plan_levels_reference(prob, order, excl)
 
 
 def test_plan_levels_follow_the_order():
@@ -714,6 +747,29 @@ def test_verify_matches_all_pairs_reference_on_corrupted_assignments():
     assert kinds == {None, "edge", "distinct", "no_edge"}
 
 
+@pytest.mark.parametrize("size", [(40, 60, 50, 4), (200, 400, 400, 6)])
+def test_verify_merges_pairs_and_edges_without_adjacency(size):
+    """verify walks the pairs within the exclusion radius and the sorted edges in one merge:
+    it agrees with the all-pairs reference and never builds the problem's adjacency."""
+    rng = random.Random(size[2])
+    inst = generate_instance(*size, seed=rng.randrange(10**6))
+    unknowns = strip_instance(inst).unknown_ids
+    truth = inst.assignment()
+    assignments = [truth]
+    for _ in range(8):
+        moved = dict(truth)
+        v = rng.randrange(inst.n_nodes)
+        moved[rng.choice(unknowns)] = (truth[v][0] + rng.randint(-2, 2), truth[v][1] + rng.randint(-2, 2))
+        assignments.append(moved)
+    for rules in RuleSet:
+        for assignment in assignments:
+            prob = strip_instance(inst)
+            got = verify(prob, assignment, rules)
+            assert "adjacency" not in prob.__dict__
+            assert got == verify_all_pairs(prob, assignment, rules)
+            assert (got is None) == (assignment is truth)
+
+
 def test_verify_stops_at_first_clash_of_coincident_nodes():
     n = 20_000
     a = n - 3
@@ -770,6 +826,9 @@ def test_parse_solutions_reports_invalid_utf8_at_its_line():
     assert isinstance(info.value, ValueError) and info.value.line == 3
 
 
+STAT_ORDER = "repeated or out of order (order: instances_visited, candidates_checked, max_depth, budget_exhausted)"
+
+
 @pytest.mark.parametrize(
     "text, line, message",
     [
@@ -782,6 +841,13 @@ def test_parse_solutions_reports_invalid_utf8_at_its_line():
         ("solutions 1\nnode 0 1 2\n", 2, "'node' line before the first 'sol' line"),
         ("solutions 1\nsol 0\nnode 0 1 2\nnode 0 1 3\n", 4, "duplicate node 0 in solution 0"),
         ("\nsolutions 2\nsol 0\nnode 0 1 2\n", 2, "file declares 2 solutions but contains 1"),
+        ("solutions 2\nsol 0\nnode 0 1 2\nstat bogus 5\nstat budget_exhausted 7\nsol 1\n", 4, "unknown stat 'bogus'"),
+        ("solutions 1\nsol 0\nnode 0 1 2\nstat budget_exhausted 7\n", 4, "stat 'budget_exhausted' must be 0 or 1, got 7"),
+        ("solutions 1\nsol 0\nnode 0 1 2\nstat max_depth -1\n", 4, "stat 'max_depth' must be non-negative, got -1"),
+        ("solutions 1\nsol 0\nstat max_depth 1\nstat max_depth 1\n", 4, f"stat 'max_depth' {STAT_ORDER}"),
+        ("solutions 1\nsol 0\nstat max_depth 1\nstat candidates_checked 1\n", 4, f"stat 'candidates_checked' {STAT_ORDER}"),
+        ("solutions 1\nstat max_depth 1\nsol 0\nnode 0 1 2\n", 3, "'sol' line after a 'stat' line"),
+        ("solutions 1\nsol 0\nstat max_depth 1\nnode 0 1 2\n", 4, "'node' line after a 'stat' line"),
     ],
 )
 def test_parse_solutions_names_the_line_of_each_fault(text, line, message):
