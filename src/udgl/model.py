@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
-from .geometry import Point, check_int, check_point, collinear, dist2, pairs_within
+from .geometry import COORD_LIMIT, Point, check_int, check_point, collinear, dist2, pairs_within
 
 
 class Edge(NamedTuple):
@@ -275,13 +275,17 @@ def generate_instance(
     Nodes are sampled uniformly without replacement over grid cells and the
     anchors uniformly among nodes; attempts failing connectivity or anchor
     non-collinearity are rejected and resampled. Raises GenerationError after
-    max_attempts failures. Sampled positions are distinct integer cells inside
-    the grid, so the accepted attempt's edges are derived once, here.
+    max_attempts failures. The grid side is checked as Instance checks it, and is
+    at most COORD_LIMIT + 1 so that parse_file accepts every coordinate. Sampled
+    positions are distinct integer cells inside the grid, so the accepted attempt's
+    edges are derived once, here.
     """
     if n_nodes < 4:
         raise ValueError(f"n_nodes must be >= 4, got {n_nodes}")
     if not 3 <= n_anchors < n_nodes:
         raise ValueError(f"need 3 <= n_anchors < n_nodes, got {n_anchors} of {n_nodes}")
+    if _check_size(grid_side, "grid_side") > COORD_LIMIT + 1:
+        raise ValueError(f"grid_side must be at most {COORD_LIMIT + 1}, got {grid_side}")
     if grid_side * grid_side < n_nodes:
         raise ValueError(f"grid {grid_side}x{grid_side} cannot hold {n_nodes} distinct nodes")
     _check_size(radius_sq, "radius_sq")

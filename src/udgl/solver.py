@@ -5,9 +5,10 @@ circle around a realized neighbour and pruning candidates against the active
 rule set. CONVENTIONAL prunes with edge-length equalities and distinctness
 only; UNIT_DISK additionally requires every non-adjacent realized pair to be
 strictly farther apart than the radius, which is what collapses the tree.
-The order is static, so a solve plans every level once. sub_locations gives a
-level's edge-consistent offsets from its pivot; solve walks them with an index,
-and runs the bounds test and the no-edge test (on its cell list of realized points).
+The order is static, so a solve plans every level once. sub_locations, a pure
+function, gives a level's edge-consistent offsets from its pivot; solve walks them
+with an index, runs the bounds test and the no-edge test (on its cell list of
+realized points), and keeps every search count.
 
 A solve call is sequential and mutates no process-wide state (the lattice
 circle cache is thread-safe); Problem and SolverConfig are immutable, so
@@ -214,23 +215,22 @@ def plan_levels(problem: Problem, order: list[int], excl: int) -> list[Level]:
     return plan
 
 
-def sub_locations(level: Level, pos: list[Point | None], stats: SearchStats) -> tuple[Point, tuple[tuple[int, int], ...]]:
-    """The pivot's point and, in (dx, dy) order, the offsets from it that meet every
-    edge constraint of level.node: the planned circle itself when the pivot is the
-    one realized neighbour, else the at most two lattice points where the first
-    check's circle meets it that pass every check. pos[i] is node i's point while i
-    is realized. Every point of the pivot circle counts toward stats.candidates_checked.
+def sub_locations(level: Level, pos: list[Point | None]) -> tuple[tuple[int, int], ...]:
+    """In (dx, dy) order, the offsets from the pivot's point that meet every edge
+    constraint of level.node: the planned circle itself when the pivot is the one
+    realized neighbour, else the at most two lattice points where the first check's
+    circle meets it that pass the other checks. pos[i] is node i's point while i is
+    realized. A pure function: solve keeps the search's counts.
     """
     _, pivot, a, offsets, checks, _ = level
-    centre = pos[pivot]
-    stats.candidates_checked += len(offsets)
     if not checks:
-        return centre, offsets
+        return offsets
     # Survivors lie where the first check's circle meets the pivot's: with v the
     # (non-zero) offset between the centres, |o|^2 = a and |o - v|^2 = d2 give
     # o.v = h, so o = (h*v + t*v_perp) / |v|^2 with t^2 = a*|v|^2 - h^2, a lattice
-    # point only when t is an integer and both divisions are exact.
-    cx, cy = centre
+    # point only when t is an integer and both divisions are exact. Such a point
+    # meets the first check exactly (2h = k, so |o - v|^2 = a - k + n = d2).
+    cx, cy = pos[pivot]
     m, d2 = checks[0]
     qx, qy = pos[m]
     vx, vy = qx - cx, qy - cy
@@ -247,7 +247,7 @@ def sub_locations(level: Level, pos: list[Point | None], stats: SearchStats) -> 
             if px % n or py % n:
                 continue
             dx, dy = px // n, py // n
-            for m, d2 in checks:
+            for m, d2 in checks[1:]:
                 qx, qy = pos[m]
                 qx -= cx + dx
                 qy -= cy + dy
@@ -256,7 +256,7 @@ def sub_locations(level: Level, pos: list[Point | None], stats: SearchStats) -> 
             else:
                 out.append((dx, dy))
         out.sort()
-    return centre, tuple(out)  # on the active path a tuple is smaller than the list
+    return tuple(out)  # on the active path a tuple is smaller than the list
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +283,12 @@ def solve(problem: Problem, config: SolverConfig) -> SolutionSet:
     """
     if config.enforce_bounds and problem.grid_side is None:
         raise ValueError("enforce_bounds requires a problem that kept its grid bounds")
-    stats = SearchStats()
     excl = config.rules.exclusion(problem.radius_sq)
     if not _anchors_consistent(problem, excl):
-        return SolutionSet([], stats)
+        return SolutionSet([], SearchStats())
     order = realization_order(problem, config.ordering, config.seed)
     if not order:
-        stats.solutions_found = 1
-        return SolutionSet([dict(problem.anchors)], stats)
+        return SolutionSet([dict(problem.anchors)], SearchStats(solutions_found=1))
 
     plan = plan_levels(problem, order, excl)
     n_levels = len(plan)
@@ -303,16 +301,18 @@ def solve(problem: Problem, config: SolverConfig) -> SolutionSet:
     get = cells.get
     bounded, grid = config.enforce_bounds, problem.grid_side
     solutions: list[dict[int, Point]] = []
-    budget = config.budget
-    find_all = config.find_all
-    visits = max_depth = 0
+    budget, find_all = config.budget, config.find_all
+    # The search's counts; an expansion checks its level's whole pivot circle.
+    visits = max_depth = candidates = 0
+    exhausted = False
     # Level depth - 1 tries offsets[k:] from (cx, cy), whose placements must have
     # expected realized points within excl; parents holds each level above's offsets and k.
-    (cx, cy), offsets = sub_locations(plan[0], pos, stats)
-    k = 0
-    expected = plan[0].expected
-    parents = []
-    depth = 1
+    level = plan[0]
+    offsets = sub_locations(level, pos)
+    candidates += len(level.offsets)
+    cx, cy = pos[level.pivot]
+    expected = level.expected
+    k, depth, parents = 0, 1, []
     while True:
         if k == len(offsets):
             if not parents:
@@ -347,7 +347,7 @@ def solve(problem: Problem, config: SolverConfig) -> SolutionSet:
         if hits != expected:
             continue
         if visits >= budget:
-            stats.budget_exhausted = True
+            exhausted = True
             break
         visits += 1
         if depth > max_depth:
@@ -359,20 +359,18 @@ def solve(problem: Problem, config: SolverConfig) -> SolutionSet:
                 continue
             break
         level = plan[depth]
-        centre, children = sub_locations(level, pos, stats)
+        children = sub_locations(level, pos)
+        candidates += len(level.offsets)
         if children:
             cells.setdefault((kx, ky), []).append(point)
             parents.append(offsets)
             parents.append(k)
             offsets = children
             k = 0
-            cx, cy = centre
+            cx, cy = pos[level.pivot]
             expected = level.expected
             depth += 1
-    stats.instances_visited = visits
-    stats.max_depth_reached = max_depth
-    stats.solutions_found = len(solutions)
-    return SolutionSet(solutions, stats)
+    return SolutionSet(solutions, SearchStats(visits, candidates, max_depth, len(solutions), exhausted))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +433,10 @@ def verify(problem: Problem, assignment: dict[int, Point], rules: RuleSet) -> Vi
 #
 # The stat lines are optional; those present come after the last solution, in this order.
 
-_STATS = ("instances_visited", "candidates_checked", "max_depth", "budget_exhausted")
+# Each stat line's name, in file order, and the SearchStats field it holds.
+_STATS = dict(instances_visited="instances_visited", candidates_checked="candidates_checked",
+              max_depth="max_depth_reached", budget_exhausted="budget_exhausted")
+_FIELD_COUNTS = {"sol": 1, "node": 3, "stat": 2}  # the fields after each row keyword
 
 
 def format_solution_set(result: SolutionSet, n_nodes: int) -> bytes:
@@ -446,9 +447,7 @@ def format_solution_set(result: SolutionSet, n_nodes: int) -> bytes:
         for i in range(n_nodes):
             x, y = sol[i]
             lines.append(f"node {i} {x} {y}")
-    s = result.stats
-    values = (s.instances_visited, s.candidates_checked, s.max_depth_reached, int(s.budget_exhausted))
-    lines += [f"stat {name} {v}" for name, v in zip(_STATS, values)]
+    lines += [f"stat {name} {int(getattr(result.stats, field))}" for name, field in _STATS.items()]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -468,15 +467,16 @@ def parse_solutions(data: bytes | str) -> list[dict[int, Point]]:
     count = parse_int(toks[1], head_no, "solution count")
     out: list[dict[int, Point]] = []
     current: dict[int, Point] | None = None
-    stat = -1  # the _STATS index of the last stat line, -1 before the first
+    later = iter(_STATS)  # the stat names still allowed: `name in later` consumes through name
+    stat = None  # the name of the last stat line
     for no, line in rows:
         kind, *args = line.split()
-        n_fields = {"sol": 1, "node": 3, "stat": 2}.get(kind)
+        n_fields = _FIELD_COUNTS.get(kind)
         if n_fields is None:
             raise ParseError(f"unexpected keyword {kind!r}", no)
         if len(args) != n_fields:
             raise ParseError(f"'{kind}' line has {len(args)} fields, expected {n_fields}", no)
-        if kind != "stat" and stat >= 0:
+        if kind != "stat" and stat:
             raise ParseError(f"'{kind}' line after a 'stat' line", no)
         if kind == "sol":
             if parse_int(args[0], no, "solution index") != len(out):
@@ -491,12 +491,11 @@ def parse_solutions(data: bytes | str) -> list[dict[int, Point]]:
                 raise ParseError(f"duplicate node {node_id} in solution {len(out) - 1}", no)
             current[node_id] = Point(parse_int(args[1], no, "x coordinate"), parse_int(args[2], no, "y coordinate"))
         else:
-            name = args[0]
+            stat = name = args[0]
             if name not in _STATS:
                 raise ParseError(f"unknown stat {name!r}", no)
-            if _STATS.index(name) <= stat:
+            if name not in later:
                 raise ParseError(f"stat {name!r} repeated or out of order (order: {', '.join(_STATS)})", no)
-            stat = _STATS.index(name)
             value = parse_int(args[1], no, "stat value")
             if value < 0:
                 raise ParseError(f"stat {name!r} must be non-negative, got {value}", no)

@@ -48,6 +48,9 @@ def test_generate_problem_variants(tmp_path):
 def test_generate_failure_maps_to_exit_2(tmp_path):
     assert run("generate", "--grid", 10, "--radius-sq", 1, "--nodes", 20,
                "--anchors", 3, "--seed", 1, "-o", tmp_path / "x.udgl") == 2
+    assert run("generate", "--grid", -20, "--radius-sq", 25, "--nodes", 10,
+               "--anchors", 3, "--seed", 1, "-o", tmp_path / "x.udgl") == 2
+    assert not (tmp_path / "x.udgl").exists()
 
 
 def test_solve_round_trip(tmp_path, capsys):
@@ -141,13 +144,18 @@ def test_verify_detects_corruption(tmp_path, capsys):
     assert "violation no_edge" in capsys.readouterr().out
 
 
-def test_verify_rejects_problem_as_solution(tmp_path):
+def test_verify_rejects_problem_as_solution(tmp_path, capsys):
     inst_file = tmp_path / "a.udgl"
     prob_file = tmp_path / "p.udgl"
     args = ("generate", "--grid", 20, "--radius-sq", 50, "--nodes", 10, "--anchors", 3, "--seed", 1)
     assert run(*args, "-o", inst_file) == 0
     assert run(*args, "-o", prob_file, "--problem") == 0
     assert run("verify", inst_file, prob_file) == 2
+    # nor a solution file that holds no assignment
+    empty = tmp_path / "empty.sol"
+    empty.write_text("solutions 0\n")
+    assert run("verify", inst_file, empty) == 2
+    assert "solution file contains no assignments" in capsys.readouterr().err
 
 
 def test_verify_reports_invalid_utf8_in_solution_file_as_parse_error(tmp_path, capsys):

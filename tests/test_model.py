@@ -88,6 +88,9 @@ def test_generate_rejects_bad_arguments():
         generate_instance(3, 25, 10, 3, seed=0)  # grid too small
     with pytest.raises(ValueError):
         generate_instance(10, 0, 10, 3, seed=0)  # radius_sq < 1
+    for grid in (-20, 0, COORD_LIMIT + 2):  # the grid rule Instance enforces, and coordinates parse_file accepts
+        with pytest.raises(ValueError, match="grid_side must be"):
+            generate_instance(grid, 25, 10, 3, seed=0)
 
 
 def test_instance_validation():
@@ -105,6 +108,8 @@ def test_instance_validation():
         Instance(5, 1, tuple(pts), flags)  # disconnected at radius 1
     with pytest.raises(ValueError):
         Instance(5, 8, tuple(pts), (True, True, False, False))  # M < 3
+    with pytest.raises(ValueError, match="anchor_flags length does not match positions"):
+        Instance(5, 8, tuple(pts), flags[:3])
 
 
 def test_strip_instance():
@@ -226,12 +231,13 @@ def test_problem_adjacency_keys_ascending_whatever_the_edge_order():
 
 
 def test_round_trip_instance_and_problem():
-    inst = generate_instance(15, 40, 8, 3, seed=5)
-    for obj in (inst, strip_instance(inst), strip_instance(inst, keep_bounds=True)):
-        data = write_file(obj)
-        back = parse_file(data)
-        assert back == obj
-        assert write_file(back) == data
+    widest = generate_instance(COORD_LIMIT + 1, 2 * COORD_LIMIT**2, 4, 3, seed=0)  # its coordinates still parse
+    for inst in (generate_instance(15, 40, 8, 3, seed=5), widest):
+        for obj in (inst, strip_instance(inst), strip_instance(inst, keep_bounds=True)):
+            data = write_file(obj)
+            back = parse_file(data)
+            assert back == obj
+            assert write_file(back) == data
 
 
 def test_round_trip_many_random_instances():
@@ -315,6 +321,12 @@ def test_parse_errors_carry_line_numbers():
     assert parse_error_line(base.replace("edge 0 1 9", "edge 1 0 9")) == 10
     # bad integer
     assert parse_error_line(base.replace("nodes 4", "nodes four")) == 4
+    # node id out of range
+    assert parse_error_line(base.replace("node 3 unknown", "node 4 unknown")) == 8
+    # anchor without coordinates
+    assert parse_error_line(base.replace("node 2 anchor 0 3", "node 2 anchor")) == 7
+    # negative edge count
+    assert parse_error_line(base.replace("edges 4", "edges -1")) == 9
     # truncated file
     with pytest.raises(ParseError):
         parse_file(base.rsplit("edge", 1)[0])

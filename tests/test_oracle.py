@@ -181,6 +181,10 @@ def test_unknown_cap_and_work_limit():
         assert canon(solve(prob, SolverConfig(rules=rules)).solutions) == canon(want)
     with pytest.raises(CapExceededError, match="more than 10 candidate points"):
         brute_force_solutions(prob, RuleSet.UNIT_DISK, work_limit=10)
+    # A reach box over 50M points is refused before any is examined: here 20001^2, about 4 * 10^8.
+    wide = Problem(n_nodes=4, radius_sq=10**8, anchors={0: (0, 0), 1: (1, 0), 2: (0, 1)}, edges=(Edge(0, 3, 1),))
+    with pytest.raises(CapExceededError, match="search box for node 3 spans"):
+        brute_force_solutions(wide, RuleSet.CONVENTIONAL)
 
 
 def test_satisfies_cross_checks_verify():

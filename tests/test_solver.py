@@ -17,7 +17,6 @@ from udgl.solver import (
     NoEligibleNodeError,
     Ordering,
     RuleSet,
-    SearchStats,
     SolverConfig,
     Violation,
     format_solution_set,
@@ -192,10 +191,10 @@ def first_level(prob, rules=RuleSet.UNIT_DISK):
     return level, [prob.anchors.get(i) for i in range(prob.n_nodes)]
 
 
-def placed(level, pos, stats):
+def placed(level, pos):
     """The points that sub_locations' offsets stand for: each offset from the pivot's point."""
-    (cx, cy), offsets = sub_locations(level, pos, stats)
-    return [(cx + dx, cy + dy) for dx, dy in offsets]
+    cx, cy = pos[level.pivot]
+    return [(cx + dx, cy + dy) for dx, dy in sub_locations(level, pos)]
 
 
 def placements(prob, rules):
@@ -211,12 +210,10 @@ def test_sub_locations_empty_circle():
         anchors={0: (0, 0), 1: (5, 0), 2: (0, 5)},
         edges=(Edge(0, 3, 3),),
     )
-    stats = SearchStats()
     level, pos = first_level(prob)
-    assert (level.node, level.pivot, level.offsets) == (3, 0, ())
-    out = placed(level, pos, stats)
+    assert (level.node, level.pivot, level.offsets) == (3, 0, ())  # no lattice point has squared length 3
+    out = placed(level, pos)
     assert out == []
-    assert stats.candidates_checked == 0  # no lattice point has squared length 3
 
 
 def test_sub_locations_two_circle_intersection():
@@ -227,13 +224,12 @@ def test_sub_locations_two_circle_intersection():
         edges=(Edge(0, 3, 25), Edge(1, 3, 25)),
     )
     for rules in RuleSet:
-        stats = SearchStats()
         level, pos = first_level(prob, rules)
         assert (level.pivot, level.checks) == (0, ((1, 25),))  # equal circles: lowest id pivots
         assert level.expected == (2 if rules is RuleSet.UNIT_DISK else 0)
-        out = placed(level, pos, stats)
+        out = placed(level, pos)
         assert out == [(5, 0)]
-        assert stats.candidates_checked == 12  # the pivot circle of squared radius 25
+        assert len(level.offsets) == 12  # the pivot circle of squared radius 25
         assert placements(prob, rules) == [(5, 0)]
 
 
@@ -243,11 +239,10 @@ def test_sub_locations_candidate_count_is_pivot_circle_size(fixture_f1):
     best = min(
         (len(circle_offsets(d2)), m) for m, d2 in prob.adjacency[unknown].items() if m in prob.anchors
     )
-    stats = SearchStats()
     level, pos = first_level(prob)
     assert (level.node, level.pivot) == (unknown, best[1])
-    out = placed(level, pos, stats)
-    assert stats.candidates_checked == best[0]
+    out = placed(level, pos)
+    assert len(level.offsets) == best[0]
     # the edges leave both flip placements; only the ground truth survives unit-disk rules
     truth = fixture_f1.assignment()[unknown]
     assert len(out) == 2 and truth in out
@@ -263,15 +258,14 @@ def test_sub_locations_respects_bounds_flag():
         edges=(Edge(0, 3, 2), Edge(1, 3, 2)),
         grid_side=4,
     )
-    stats = SearchStats()
     level, pos = first_level(prob)
-    free = placed(level, pos, stats)
+    free = placed(level, pos)
     assert free == [(-1, 1), (1, 1)]
     # The bounds test is solve's: its cursor skips the offsets that leave the grid.
     res = solve(prob, SolverConfig(enforce_bounds=True))
     bounded = [s[3] for s in res.solutions]
     assert bounded == [(1, 1)]
-    assert stats.candidates_checked + res.stats.candidates_checked == 8
+    assert len(level.offsets) + res.stats.candidates_checked == 8
 
 
 def plan_levels_reference(problem, order, excl):
@@ -472,7 +466,7 @@ def test_sub_locations_matches_circle_walk_reference():
                 edge_ok = [
                     c for c in circle if all(dist2(c, realized[m]) == d2 for m, d2 in adj.items() if m in realized)
                 ]
-                assert placed(level, pos, SearchStats()) == edge_ok
+                assert placed(level, pos) == edge_ok
                 expected = [
                     c
                     for c in circle
