@@ -1,14 +1,7 @@
 """udgl: localization of integer-lattice unit-disk networks by pruned tree search."""
 
-from .bench import (
-    CellResult,
-    SweepSpec,
-    anchor_count_for_fraction,
-    parse_sweep_spec,
-    run_sweep,
-    write_csv,
-)
-from .geometry import Point, collinear, dist2, lattice_circle, pairs_within
+from .bench import CellResult, SweepSpec, parse_sweep_spec, run_sweep, write_csv
+from .geometry import Point, collinear, dist2, pairs_within
 from .model import (
     Edge,
     GenerationError,
@@ -20,15 +13,7 @@ from .model import (
     strip_instance,
     write_file,
 )
-from .oracle import (
-    CapExceededError,
-    FixtureNotFoundError,
-    SearchBox,
-    brute_force_solutions,
-    find_fixture_f1,
-    reach_box,
-    satisfies,
-)
+from .oracle import CapExceededError, FixtureNotFoundError, brute_force_solutions, find_fixture_f1, satisfies
 from .solver import (
     AnchorMismatchError,
     MissingNodeError,
@@ -47,47 +32,3 @@ from .solver import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnchorMismatchError",
-    "CapExceededError",
-    "CellResult",
-    "Edge",
-    "FixtureNotFoundError",
-    "GenerationError",
-    "Instance",
-    "MissingNodeError",
-    "NoEligibleNodeError",
-    "Ordering",
-    "ParseError",
-    "Point",
-    "Problem",
-    "RuleSet",
-    "SearchBox",
-    "SearchStats",
-    "SolutionSet",
-    "SolverConfig",
-    "SweepSpec",
-    "Violation",
-    "anchor_count_for_fraction",
-    "brute_force_solutions",
-    "collinear",
-    "dist2",
-    "find_fixture_f1",
-    "format_solution_set",
-    "generate_instance",
-    "lattice_circle",
-    "pairs_within",
-    "parse_file",
-    "parse_solutions",
-    "parse_sweep_spec",
-    "reach_box",
-    "realization_order",
-    "run_sweep",
-    "satisfies",
-    "solve",
-    "strip_instance",
-    "verify",
-    "write_csv",
-    "write_file",
-]

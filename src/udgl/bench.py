@@ -4,6 +4,8 @@ A sweep cell is one (radius_sq, anchor count, rule set, ordering) combination.
 Trial t of every cell reuses the instance generated with seed base_seed + t,
 so rule sets and orderings are compared on identical inputs. Search outputs
 are deterministic for a fixed spec; only the wall-clock column varies.
+SweepSpec's field types are both the spec-file grammar and its checks, and one
+column table gives the CSV header and every row.
 """
 
 from __future__ import annotations
@@ -16,17 +18,8 @@ from itertools import product
 from typing import Callable, TextIO, get_args, get_origin, get_type_hints
 
 from .geometry import check_int
-from .model import GenerationError, Instance, ParseError, generate_instance, parse_int, strip_instance, text_rows
+from .model import GenerationError, Instance, ParseError, check_grid, generate_instance, parse_int, strip_instance, text_rows
 from .solver import Ordering, RuleSet, SearchStats, SolutionSet, SolverConfig, solve
-
-# Callback invoked once per completed trial: (instance, config, trial, result).
-TrialHook = Callable[[Instance, SolverConfig, int, SolutionSet], None]
-
-
-def anchor_count_for_fraction(fraction: float, n_nodes: int) -> int:
-    """Anchor count for a requested anchor percentage, floored at the 3-anchor minimum."""
-    return max(3, round(fraction * n_nodes))
-
 
 class SpecValueError(ValueError):
     """A SweepSpec value out of range; key names the field that holds it."""
@@ -62,6 +55,10 @@ class SweepSpec:
             if kind is int:
                 for v in values:
                     check_int(v, key)
+        try:
+            check_grid(self.grid_side, self.n_nodes)
+        except ValueError as exc:
+            raise SpecValueError("grid_side", str(exc)) from None
         for key in ("trials", "budget"):
             if getattr(self, key) < 1:
                 raise SpecValueError(key, f"{key} must be >= 1, got {getattr(self, key)}")
@@ -98,7 +95,7 @@ class CellResult:
 
 def run_sweep(
     spec: SweepSpec,
-    on_result: TrialHook | None = None,
+    on_result: Callable[[Instance, SolverConfig, int, SolutionSet], None] | None = None,
     log: TextIO | None = None,
 ) -> list[CellResult]:
     """Run every cell of the sweep; cell order follows the spec's field order.
@@ -106,6 +103,8 @@ def run_sweep(
     Trials whose instance generation fails are counted per cell and excluded;
     budget-exhausted trials are counted in censored_fraction and excluded from
     the traversal means so censoring never deflates them.
+
+    on_result is called once per solved trial with (instance, config, trial, result).
     """
     if log is None:
         log = sys.stderr

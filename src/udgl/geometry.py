@@ -1,7 +1,8 @@
 """Exact integer-lattice geometry: squared distances, lattice circles, collinearity, cell lists.
 
 Every operation here is pure integer arithmetic. No floating point is used
-anywhere, so distance equalities and strict inequalities are exact.
+anywhere, so distance equalities and strict inequalities are exact. cell_rule is
+the one neighbourhood rule: pairs_within and the search both bucket points by it.
 """
 
 from __future__ import annotations
@@ -105,13 +106,6 @@ def pairs_within(points: Sequence[Sequence[int]], r2: int) -> Iterator[tuple[int
             s = dx * dx + dy * dy
             if s <= r2:
                 yield i, j, s
-
-
-def lattice_circle(center: Sequence[int], s: int) -> list[Point]:
-    """All lattice points at squared distance s from center, sorted by (x, y): translation
-    by the center keeps the cached offsets' lexicographic order, so nothing is re-sorted."""
-    cx, cy = center
-    return [Point(cx + dx, cy + dy) for dx, dy in circle_offsets(s)]
 
 
 def collinear(points: Iterable[Sequence[int]]) -> bool:

@@ -4,6 +4,14 @@ An Instance is the ground truth (all node positions known); a Problem is what
 the solver receives (non-anchor positions withheld). Both serialize to the
 same line-based ``udgl 1`` text format. Values are immutable after
 construction and safe to share across threads.
+
+Each invariant (the sizes, a position, an edge, the anchor set, a connected
+network, a generated grid) has one rule, which the constructors, the generator
+and parse_file all call. parse_file checks the grid and anchor rules as soon as
+the node lines are read, and stops once a ground-truth file leaves more implied
+edges undeclared than edge lines remain, so any file costs time and memory in
+proportion to its bytes. text_rows and parse_int are the line grammar of every
+udgl text: instance, problem, solution and sweep-spec files.
 """
 
 from __future__ import annotations
@@ -102,6 +110,15 @@ def _check_size(value, what: str) -> int:
     if check_int(value, what) < 1:
         raise ValueError(f"{what} must be positive")
     return value
+
+
+def check_grid(grid_side, n_nodes: int) -> None:
+    """The rule for the grid side of a generated instance or a sweep: a positive integer, at
+    most COORD_LIMIT + 1 so that parse_file accepts every coordinate, with n_nodes cells."""
+    if _check_size(grid_side, "grid_side") > COORD_LIMIT + 1:
+        raise ValueError(f"grid_side must be at most {COORD_LIMIT + 1}, got {grid_side}")
+    if grid_side * grid_side < n_nodes:
+        raise ValueError(f"grid {grid_side}x{grid_side} cannot hold {n_nodes} distinct nodes")
 
 
 def _place(p, grid: int | None, seen: dict[Point, int], i: int) -> Point:
@@ -275,19 +292,15 @@ def generate_instance(
     Nodes are sampled uniformly without replacement over grid cells and the
     anchors uniformly among nodes; attempts failing connectivity or anchor
     non-collinearity are rejected and resampled. Raises GenerationError after
-    max_attempts failures. The grid side is checked as Instance checks it, and is
-    at most COORD_LIMIT + 1 so that parse_file accepts every coordinate. Sampled
-    positions are distinct integer cells inside the grid, so the accepted attempt's
-    edges are derived once, here.
+    max_attempts failures. The grid side meets check_grid. Sampled positions are
+    distinct integer cells inside the grid, so the accepted attempt's edges are
+    derived once, here.
     """
-    if n_nodes < 4:
+    if check_int(n_nodes, "n_nodes") < 4:
         raise ValueError(f"n_nodes must be >= 4, got {n_nodes}")
-    if not 3 <= n_anchors < n_nodes:
+    if not 3 <= check_int(n_anchors, "n_anchors") < n_nodes:
         raise ValueError(f"need 3 <= n_anchors < n_nodes, got {n_anchors} of {n_nodes}")
-    if _check_size(grid_side, "grid_side") > COORD_LIMIT + 1:
-        raise ValueError(f"grid_side must be at most {COORD_LIMIT + 1}, got {grid_side}")
-    if grid_side * grid_side < n_nodes:
-        raise ValueError(f"grid {grid_side}x{grid_side} cannot hold {n_nodes} distinct nodes")
+    check_grid(grid_side, n_nodes)
     _check_size(radius_sq, "radius_sq")
 
     rng = random.Random(seed)

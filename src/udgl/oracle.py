@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import NamedTuple
 
-from .geometry import Point, collinear, dist2, lattice_circle
+from .geometry import Point, circle_offsets, collinear, dist2
 from .model import Instance, Problem, strip_instance
 from .solver import RuleSet
 
@@ -29,7 +29,7 @@ class FixtureNotFoundError(Exception):
 
 
 class SearchBox(NamedTuple):
-    """Inclusive rectangle of lattice points."""
+    """Inclusive rectangle of lattice points, never empty: reach_box pads the anchors' bounding box."""
 
     xmin: int
     ymin: int
@@ -38,10 +38,7 @@ class SearchBox(NamedTuple):
 
     @property
     def n_points(self) -> int:
-        return max(0, self.xmax - self.xmin + 1) * max(0, self.ymax - self.ymin + 1)
-
-    def contains(self, p: Point) -> bool:
-        return self.xmin <= p[0] <= self.xmax and self.ymin <= p[1] <= self.ymax
+        return (self.xmax - self.xmin + 1) * (self.ymax - self.ymin + 1)
 
 
 def _ceil_sqrt(s: int) -> int:
@@ -227,7 +224,8 @@ def find_fixture_f1(max_grid: int) -> Instance:
                         d2 = dist2(u, a2)
                         if d1 > r2 or d2 > r2:
                             continue
-                        twins = [p for p in lattice_circle(a1, d1) if dist2(p, a2) == d2]
+                        on_a1 = (Point(a1.x + dx, a1.y + dy) for dx, dy in circle_offsets(d1))
+                        twins = [p for p in on_a1 if dist2(p, a2) == d2]
                         if len(twins) != 2:
                             continue
                         mirror = twins[0] if twins[1] == u else twins[1]

@@ -8,7 +8,9 @@ strictly farther apart than the radius, which is what collapses the tree.
 The order is static, so a solve plans every level once. sub_locations, a pure
 function, gives a level's edge-consistent offsets from its pivot; solve walks them
 with an index, runs the bounds test and the no-edge test (on its cell list of
-realized points), and keeps every search count.
+realized points), and keeps every search count. verify checks a complete
+assignment by one ordered merge of pairs_within with the sorted edges, and
+format_solution_set and parse_solutions are the solution text format.
 
 A solve call is sequential and mutates no process-wide state (the lattice
 circle cache is thread-safe); Problem and SolverConfig are immutable, so

@@ -10,7 +10,6 @@ from udgl.bench import (
     CSV_HEADER,
     CellResult,
     SweepSpec,
-    anchor_count_for_fraction,
     parse_sweep_spec,
     run_sweep,
     write_csv,
@@ -34,13 +33,6 @@ def tiny_spec(**overrides):
     )
     kwargs.update(overrides)
     return SweepSpec(**kwargs)
-
-
-def test_anchor_count_for_fraction():
-    assert anchor_count_for_fraction(0.01, 100) == 3
-    assert anchor_count_for_fraction(0.05, 100) == 5
-    assert anchor_count_for_fraction(0.10, 100) == 10
-    assert anchor_count_for_fraction(0.20, 100) == 20
 
 
 def test_spec_validation():
@@ -278,6 +270,10 @@ def test_parse_sweep_spec_reports_invalid_utf8_at_its_line():
         ("radius_sq_values 50", "radius_sq_values 40,0", 4, "radius_sq value 0 must be >= 1"),
         ("anchor_counts 3", "anchor_counts 3,10", 5, "anchor count 10 outside [3, 10)"),
         ("anchor_counts 3", "anchor_counts 3\nbudget 0", 6, "budget must be >= 1, got 0"),
+        # grid sides generate_instance refuses (model.check_grid)
+        ("grid_side 20", "grid_side 0", 1, "grid_side must be positive"),
+        ("grid_side 20", "grid_side 3", 1, "grid 3x3 cannot hold 10 distinct nodes"),
+        ("grid_side 20", "grid_side 2000000000", 1, "grid_side must be at most 1000000001, got 2000000000"),
     ],
 )
 def test_parse_sweep_spec_names_the_line_of_each_fault(old, new, line, message):

@@ -13,7 +13,6 @@ from udgl.geometry import (
     circle_offsets,
     collinear,
     dist2,
-    lattice_circle,
     pairs_within,
 )
 
@@ -21,16 +20,10 @@ coords = st.integers(min_value=-500, max_value=500)
 points = st.tuples(coords, coords)
 
 
-def brute_circle(center, s):
+def brute_circle(s):
     """Independent enumeration: scan the full bounding box."""
-    cx, cy = center
     r = int(s**0.5) + 2
-    return sorted(
-        Point(x, y)
-        for x in range(cx - r, cx + r + 1)
-        for y in range(cy - r, cy + r + 1)
-        if (x - cx) ** 2 + (y - cy) ** 2 == s
-    )
+    return sorted(Point(x, y) for x in range(-r, r + 1) for y in range(-r, r + 1) if x * x + y * y == s)
 
 
 def test_dist2_examples():
@@ -47,10 +40,10 @@ def test_dist2_symmetric_and_zero_iff_equal(a, b):
         assert dist2(a, b) >= 1
 
 
-def test_lattice_circle_examples():
-    assert lattice_circle((0, 0), 0) == [(0, 0)]
-    assert lattice_circle((0, 0), 3) == []
-    pts = lattice_circle((0, 0), 25)
+def test_circle_offsets_examples():
+    assert circle_offsets(0) == ((0, 0),)
+    assert circle_offsets(3) == ()
+    pts = circle_offsets(25)
     assert len(pts) == 12
     assert set(pts) == {
         (5, 0), (-5, 0), (0, 5), (0, -5),
@@ -60,27 +53,20 @@ def test_lattice_circle_examples():
 
 
 @settings(max_examples=60)
-@given(st.integers(min_value=0, max_value=2500), points)
-def test_lattice_circle_matches_brute_force(s, center):
-    got = lattice_circle(center, s)
-    assert got == brute_circle(center, s)
-
-
-@given(st.integers(min_value=0, max_value=2500), points, points)
-def test_lattice_circle_size_translation_invariant(s, c1, c2):
-    assert len(lattice_circle(c1, s)) == len(lattice_circle(c2, s))
-    assert len(circle_offsets(s)) == len(lattice_circle(c1, s))
+@given(st.integers(min_value=0, max_value=2500))
+def test_circle_offsets_match_brute_force(s):
+    assert list(circle_offsets(s)) == brute_circle(s)
 
 
 @given(st.integers(min_value=0, max_value=5000))
-def test_lattice_circle_strictly_increasing(s):
-    pts = lattice_circle((0, 0), s)
+def test_circle_offsets_strictly_increasing(s):
+    pts = circle_offsets(s)
     assert all(pts[i] < pts[i + 1] for i in range(len(pts) - 1))
     for p in pts:
         assert dist2(p, (0, 0)) == s
 
 
-def test_lattice_circle_large_radii_against_vectorized_scan():
+def test_circle_offsets_large_radii_against_vectorized_scan():
     # Up to s = 10**6, compare against a numpy scan of the bounding box.
     rng = random.Random(20240601)
     for _ in range(15):
@@ -90,12 +76,12 @@ def test_lattice_circle_large_radii_against_vectorized_scan():
         square_sums = xs[:, None] ** 2 + xs[None, :] ** 2
         ix, iy = np.nonzero(square_sums == s)
         expected = sorted(zip((ix - r).tolist(), (iy - r).tolist()))
-        assert [tuple(p) for p in lattice_circle((0, 0), s)] == expected
+        assert [tuple(p) for p in circle_offsets(s)] == expected
 
 
-def test_lattice_circle_rejects_negative():
-    with pytest.raises(ValueError):
-        lattice_circle((0, 0), -1)
+def test_circle_offsets_rejects_negative():
+    with pytest.raises(ValueError, match="squared radius must be non-negative"):
+        circle_offsets(-1)
 
 
 def test_collinear_examples():

@@ -91,6 +91,10 @@ def test_generate_rejects_bad_arguments():
     for grid in (-20, 0, COORD_LIMIT + 2):  # the grid rule Instance enforces, and coordinates parse_file accepts
         with pytest.raises(ValueError, match="grid_side must be"):
             generate_instance(grid, 25, 10, 3, seed=0)
+    with pytest.raises(TypeError, match="n_nodes must be an integer, got 10.5"):
+        generate_instance(20, 50, 10.5, 3, seed=1)
+    with pytest.raises(TypeError, match="n_anchors must be an integer, got 3.5"):
+        generate_instance(20, 50, 10, 3.5, seed=1)
 
 
 def test_instance_validation():
@@ -325,6 +329,9 @@ def test_parse_errors_carry_line_numbers():
     assert parse_error_line(base.replace("node 3 unknown", "node 4 unknown")) == 8
     # anchor without coordinates
     assert parse_error_line(base.replace("node 2 anchor 0 3", "node 2 anchor")) == 7
+    # a node kind other than anchor or unknown
+    with pytest.raises(ParseError, match="^line 6: node kind must be 'anchor' or 'unknown', got 'sensor'$"):
+        parse_file(base.replace("node 1 anchor 3 0", "node 1 sensor 3 0"))
     # negative edge count
     assert parse_error_line(base.replace("edges 4", "edges -1")) == 9
     # truncated file

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from udgl.geometry import cell_rule, circle_offsets, collinear, dist2, lattice_circle
+from udgl.geometry import Point, cell_rule, circle_offsets, collinear, dist2
 from udgl.model import Edge, GenerationError, ParseError, Problem, generate_instance, strip_instance
 from udgl.solver import (
     AnchorMismatchError,
@@ -345,7 +345,8 @@ def test_cell_list_rejects_coincident_point_under_conventional_rules():
         edges=(Edge(0, 3, 25),),
     )
     res = solve(prob, SolverConfig(rules=RuleSet.CONVENTIONAL))
-    assert [s[3] for s in res.solutions] == [q for q in lattice_circle((-13, -29), 25) if q != (-13, -24)]
+    circle = [Point(-13 + dx, -29 + dy) for dx, dy in circle_offsets(25)]
+    assert [s[3] for s in res.solutions] == [q for q in circle if q != (-13, -24)]
     assert (res.stats.candidates_checked, res.stats.instances_visited) == (12, 11)
 
 
@@ -462,7 +463,8 @@ def test_sub_locations_matches_circle_walk_reference():
             pos = [realized.get(i) for i in range(prob.n_nodes)]
             for level in plan_levels(prob, order, excl):
                 adj = prob.adjacency[level.node]
-                circle = lattice_circle(realized[level.pivot], level.pivot_d2)
+                px, py = realized[level.pivot]
+                circle = [Point(px + dx, py + dy) for dx, dy in circle_offsets(level.pivot_d2)]
                 edge_ok = [
                     c for c in circle if all(dist2(c, realized[m]) == d2 for m, d2 in adj.items() if m in realized)
                 ]
