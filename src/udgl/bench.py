@@ -17,7 +17,7 @@ from dataclasses import MISSING, dataclass, fields
 from itertools import product
 from typing import Callable, TextIO, get_args, get_origin, get_type_hints
 
-from .geometry import check_int
+from .geometry import check_fields, field_rules
 from .model import GenerationError, Instance, ParseError, check_grid, generate_instance, parse_int, strip_instance, text_rows
 from .solver import Ordering, RuleSet, SearchStats, SolutionSet, SolverConfig, solve
 
@@ -43,18 +43,7 @@ class SweepSpec:
     find_all: bool = True
 
     def __post_init__(self):
-        # Each field's type is its first rule: a tuple is non-empty, an int is an int (not a bool).
-        for key, kind in _SPEC_TYPES.items():
-            values = (getattr(self, key),)
-            if get_origin(kind) is tuple:
-                values = tuple(values[0])
-                object.__setattr__(self, key, values)
-                if not values:
-                    raise SpecValueError(key, f"{key} must be non-empty")
-                key, kind = f"{key} item", get_args(kind)[0]
-            if kind is int:
-                for v in values:
-                    check_int(v, key)
+        check_fields(self, _SPEC_RULES)  # each field's type is its first rule
         try:
             check_grid(self.grid_side, self.n_nodes)
         except ValueError as exc:
@@ -70,8 +59,9 @@ class SweepSpec:
                 raise SpecValueError("anchor_counts", f"anchor count {m} outside [3, {self.n_nodes})")
 
 
-# Field name -> type: the keys of a spec file and the rules of SweepSpec.__post_init__.
+# Field name -> type: the keys of a spec file and the type rules of SweepSpec.__post_init__.
 _SPEC_TYPES = get_type_hints(SweepSpec)
+_SPEC_RULES = field_rules(_SPEC_TYPES)
 
 
 @dataclass(frozen=True)

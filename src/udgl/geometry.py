@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import lru_cache
 from math import isqrt
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence, get_args, get_origin
 
 # Coordinates are capped so that any squared distance between two in-range
 # points stays below 2**63: 2 * (2 * COORD_LIMIT)**2 < 2**63 - 1.
@@ -30,6 +30,39 @@ def check_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def field_rules(types: dict) -> tuple[tuple[str, type, bool], ...]:
+    """The rules check_fields holds a dataclass to, from its resolved annotations (name ->
+    type): each field's name, the type of its value or, for a tuple[X, ...], of its items
+    (X), and whether it is such a tuple. Built once per class, at import."""
+    return tuple((key, get_args(kind)[0], True) if get_origin(kind) is tuple else (key, kind, False)
+                 for key, kind in types.items())
+
+
+def check_fields(obj, rules: tuple[tuple[str, type, bool], ...]) -> None:
+    """Hold each field of the frozen dataclass obj to its rule (see field_rules): an int
+    follows check_int, any other class (bool, an Enum) must be an instance of it, and a
+    tuple field (given as a tuple or a list) is stored as a non-empty tuple whose items
+    follow the rule of its item type. A wrong type is a TypeError and an empty tuple a ValueError, each naming the field."""
+    for key, kind, many in rules:
+        values = getattr(obj, key)
+        if many:
+            if not isinstance(values, (tuple, list)):
+                raise TypeError(f"{key} must be a tuple, got {values!r}")
+            values = tuple(values)
+            object.__setattr__(obj, key, values)
+            if not values:
+                raise ValueError(f"{key} must be non-empty")
+            key += " item"
+        else:
+            values = (values,)
+        for v in values:
+            if kind is int:
+                check_int(v, key)
+            elif not isinstance(v, kind):
+                article = "an" if kind.__name__[0] in "AEIOU" else "a"
+                raise TypeError(f"{key} must be {article} {kind.__name__}, got {v!r}")
 
 
 def check_point(p: Sequence[int]) -> Point:

@@ -5,8 +5,9 @@ circle around a realized neighbour and pruning candidates against the active
 rule set. CONVENTIONAL prunes with edge-length equalities and distinctness
 only; UNIT_DISK additionally requires every non-adjacent realized pair to be
 strictly farther apart than the radius, which is what collapses the tree.
-The order is static, so a solve plans every level once. sub_locations, a pure
-function, gives a level's edge-consistent offsets from its pivot; solve walks them
+The order is static, so a solve plans every level once, in the walk that orders it
+(realization_order), and the plan does not depend on the rule set. sub_locations, a
+pure function, gives a level's edge-consistent offsets from its pivot; solve walks them
 with an index, runs the bounds test and the no-edge test (on its cell list of
 realized points), and keeps every search count. verify checks a complete
 assignment by one ordered merge of pairs_within with the sorted edges, and
@@ -26,9 +27,9 @@ from enum import Enum
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import isqrt
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
-from .geometry import Point, cell_rule, check_int, circle_offsets, dist2, pairs_within
+from .geometry import Point, cell_rule, check_fields, circle_offsets, dist2, field_rules, pairs_within
 from .model import ParseError, Problem, parse_int, text_rows
 
 
@@ -81,13 +82,12 @@ class SolverConfig:
     enforce_bounds: bool = False
 
     def __post_init__(self):
-        check_int(self.seed, "seed")
-        check_int(self.budget, "budget")
-        for key, kind in (("rules", RuleSet), ("ordering", Ordering), ("find_all", bool), ("enforce_bounds", bool)):
-            if not isinstance(getattr(self, key), kind):
-                raise TypeError(f"{key} must be a {kind.__name__}, got {getattr(self, key)!r}")
+        check_fields(self, _CONFIG_RULES)
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
+
+
+_CONFIG_RULES = field_rules(get_type_hints(SolverConfig))  # each field's type rule
 
 
 @dataclass
@@ -110,17 +110,34 @@ class SolutionSet:
 
 
 # ---------------------------------------------------------------------------
-# Node ordering
+# Node ordering and level plan
 # ---------------------------------------------------------------------------
 
 
-def realization_order(problem: Problem, ordering: Ordering, seed: int = 0) -> list[int]:
-    """Static order in which unknowns are realized, shared by every branch.
+class Level(NamedTuple):
+    """What every expansion at one level checks: node is placed on the pivot's circle
+    (offsets, of squared radius pivot_d2), and checks are its other realized neighbours
+    with their squared edge lengths, ids ascending."""
+
+    node: int
+    pivot: int
+    pivot_d2: int
+    offsets: tuple[Point, ...]
+    checks: tuple[tuple[int, int], ...]
+
+
+def realization_order(problem: Problem, ordering: Ordering, seed: int = 0) -> list[Level]:
+    """The plan: one Level per unknown, in the static order that every branch shares.
 
     Each node in the order has at least one edge into the anchors plus the
     nodes before it. MOST_CONNECTED greedily maximizes that edge count
     (lowest id on ties); RANDOM picks uniformly among currently eligible
     nodes, in ascending id order, with one rng.randrange per step.
+
+    A pick is planned in the walk that raises its unrealized neighbours' counts: its
+    realized neighbours, ids ascending, are its level's pivot and checks. The pivot's edge
+    spans the fewest lattice circle points (lowest id on ties). Only these edges get
+    circles, memoized per call: an anchor-anchor edge may be far too long to scan.
 
     The order is built in O(E log N) comparisons, because the eligible
     frontier is kept incrementally and never rebuilt. MOST_CONNECTED pops a
@@ -130,7 +147,10 @@ def realization_order(problem: Problem, ordering: Ordering, seed: int = 0) -> li
     sorted with bisect, whose inserts and pops shift at most the frontier in
     one memmove.
     """
+    if not isinstance(ordering, Ordering):
+        raise TypeError(f"ordering must be an Ordering, got {ordering!r}")
     adj = problem.adjacency
+    ids = list(adj)  # a pick is the adjacency's own key object, not a fresh int
     n = problem.n_nodes
     realized = [False] * n
     counts = [0] * n
@@ -144,77 +164,47 @@ def realization_order(problem: Problem, ordering: Ordering, seed: int = 0) -> li
         frontier = [u - counts[u] * n for u in frontier]
         heapify(frontier)
     rng = random.Random(seed)
-    order: list[int] = []
+    circles: dict[int, tuple[Point, ...]] = {}
+    plan: list[Level] = []
     for _ in range(n - len(problem.anchors)):
         if most:
             while frontier:
                 key = heappop(frontier)
-                pick = key % n
+                pick = ids[key % n]
                 if key == pick - counts[pick] * n:  # one entry per (count, id): this one is live
                     break
             else:
                 pick = None
         else:
-            pick = frontier.pop(rng.randrange(len(frontier))) if frontier else None
+            pick = ids[frontier.pop(rng.randrange(len(frontier)))] if frontier else None
         if pick is None:
             pending = [u for u in range(n) if not realized[u]]
             raise NoEligibleNodeError(f"nodes {pending} have no path of edges to the anchors")
-        order.append(pick)
         realized[pick] = True
-        for v in adj[pick]:
-            if not realized[v]:
+        checks = []  # the realized neighbours, ids ascending; the pivot is taken out below
+        best = None
+        for v, d2 in adj[pick].items():
+            if realized[v]:
+                circle = circles.get(d2)
+                if circle is None:
+                    circle = circles[d2] = circle_offsets(d2)
+                if best is None or len(circle) < len(best):
+                    at, best = len(checks), circle
+                checks.append((v, d2))
+            else:
                 counts[v] += 1
                 if most:
                     heappush(frontier, v - counts[v] * n)
                 elif counts[v] == 1:
                     insort(frontier, v)
-    return order
-
-
-# ---------------------------------------------------------------------------
-# Level plan and candidate enumeration
-# ---------------------------------------------------------------------------
-
-
-class Level(NamedTuple):
-    """What every expansion at one level checks: checks are the realized neighbours
-    besides the pivot, expected counts realized neighbours within the exclusion radius."""
-
-    node: int
-    pivot: int
-    pivot_d2: int
-    offsets: tuple[Point, ...]
-    checks: tuple[tuple[int, int], ...]
-    expected: int
-
-
-def plan_levels(problem: Problem, order: list[int], excl: int) -> list[Level]:
-    """One Level per node of the order. The pivot is the realized neighbour whose
-    edge spans the fewest lattice circle points, lowest id on ties. Only the levels'
-    own edge lengths get circles: an anchor-anchor edge may be far too long to scan."""
-    adj = problem.adjacency
-    realized = set(problem.anchors)
-    circles: dict[int, tuple[Point, ...]] = {}
-    plan: list[Level] = []
-    for node in order:
-        checks = []  # the realized neighbours, ids ascending; the pivot is taken out below
-        expected = 0
-        best = None
-        for m, d2 in adj[node].items():
-            if m not in realized:
-                continue
-            circle = circles.get(d2)
-            if circle is None:
-                circle = circles[d2] = circle_offsets(d2)
-            if best is None or len(circle) < len(best):
-                at, best = len(checks), circle
-            if d2 <= excl:
-                expected += 1
-            checks.append((m, d2))
         pivot, pivot_d2 = checks.pop(at)
-        plan.append(Level(node, pivot, pivot_d2, best, tuple(checks), expected))
-        realized.add(node)
+        plan.append(Level(pick, pivot, pivot_d2, best, tuple(checks)))
     return plan
+
+
+# ---------------------------------------------------------------------------
+# Candidate enumeration
+# ---------------------------------------------------------------------------
 
 
 def sub_locations(level: Level, pos: list[Point | None]) -> tuple[tuple[int, int], ...]:
@@ -224,7 +214,7 @@ def sub_locations(level: Level, pos: list[Point | None]) -> tuple[tuple[int, int
     circle meets it that pass the other checks. pos[i] is node i's point while i is
     realized. A pure function: solve keeps the search's counts.
     """
-    _, pivot, a, offsets, checks, _ = level
+    _, pivot, a, offsets, checks = level
     if not checks:
         return offsets
     # Survivors lie where the first check's circle meets the pivot's: with v the
@@ -288,12 +278,13 @@ def solve(problem: Problem, config: SolverConfig) -> SolutionSet:
     excl = config.rules.exclusion(problem.radius_sq)
     if not _anchors_consistent(problem, excl):
         return SolutionSet([], SearchStats())
-    order = realization_order(problem, config.ordering, config.seed)
-    if not order:
+    plan = realization_order(problem, config.ordering, config.seed)
+    if not plan:
         return SolutionSet([dict(problem.anchors)], SearchStats(solutions_found=1))
-
-    plan = plan_levels(problem, order, excl)
     n_levels = len(plan)
+    # Every edge has 1 <= d2 <= radius_sq, so the no-edge test at a level expects all of its
+    # realized neighbours within excl under unit-disk rules (excl = r^2), none under conventional.
+    expects = [len(level.checks) + 1 for level in plan] if excl else [0] * n_levels
     pos: list[Point | None] = [problem.anchors.get(i) for i in range(problem.n_nodes)]
     # The cell list of the realized points: the anchors, then the active path.
     side, around = cell_rule(excl)
@@ -307,13 +298,13 @@ def solve(problem: Problem, config: SolverConfig) -> SolutionSet:
     # The search's counts; an expansion checks its level's whole pivot circle.
     visits = max_depth = candidates = 0
     exhausted = False
-    # Level depth - 1 tries offsets[k:] from (cx, cy), whose placements must have
-    # expected realized points within excl; parents holds each level above's offsets and k.
+    # Level depth - 1 places node at offsets[k:] from (cx, cy), where it must have expected
+    # realized points within excl; parents holds each level above's offsets and k.
     level = plan[0]
     offsets = sub_locations(level, pos)
     candidates += len(level.offsets)
     cx, cy = pos[level.pivot]
-    expected = level.expected
+    node, expected = level.node, expects[0]
     k, depth, parents = 0, 1, []
     while True:
         if k == len(offsets):
@@ -324,8 +315,8 @@ def solve(problem: Problem, config: SolverConfig) -> SolutionSet:
             depth -= 1
             level = plan[depth - 1]
             cx, cy = pos[level.pivot]
-            expected = level.expected
-            x, y = pos[level.node]
+            node, expected = level.node, expects[depth - 1]
+            x, y = pos[node]
             cells[x // side, y // side].pop()
             continue
         dx, dy = offsets[k]
@@ -354,7 +345,7 @@ def solve(problem: Problem, config: SolverConfig) -> SolutionSet:
         visits += 1
         if depth > max_depth:
             max_depth = depth
-        pos[order[depth - 1]] = point = Point(x, y)
+        pos[node] = point = Point(x, y)
         if depth == n_levels:
             solutions.append(dict(enumerate(pos)))
             if find_all:
@@ -370,7 +361,7 @@ def solve(problem: Problem, config: SolverConfig) -> SolutionSet:
             offsets = children
             k = 0
             cx, cy = pos[level.pivot]
-            expected = level.expected
+            node, expected = level.node, expects[depth]
             depth += 1
     return SolutionSet(solutions, SearchStats(visits, candidates, max_depth, len(solutions), exhausted))
 

@@ -1,6 +1,7 @@
 import gc
 import io
 import math
+import re
 import weakref
 from typing import get_args, get_type_hints
 
@@ -55,6 +56,20 @@ def test_spec_int_fields_and_items_reject_floats_and_bools(name, bad):
     value = getattr(tiny_spec(), name)
     with pytest.raises(TypeError, match="must be an integer"):
         tiny_spec(**{name: (bad,) + value[1:] if isinstance(value, tuple) else bad})
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("rule_sets", ("unit-disk",), "rule_sets item must be a RuleSet, got 'unit-disk'"),
+        ("orderings", ("random",), "orderings item must be an Ordering, got 'random'"),
+        ("find_all", 0, "find_all must be a bool, got 0"),
+        ("rule_sets", "unit-disk", "rule_sets must be a tuple, got 'unit-disk'"),
+    ],
+)
+def test_spec_rejects_a_mistyped_value_when_built(name, value, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        tiny_spec(**{name: value})
 
 
 def test_bad_radius_fails_before_any_cell_runs():

@@ -21,7 +21,6 @@ from udgl.solver import (
     Violation,
     format_solution_set,
     parse_solutions,
-    plan_levels,
     realization_order,
     solve,
     sub_locations,
@@ -48,16 +47,21 @@ def star_problem():
 # ---------------------------------------------------------------------------
 
 
+def order_of(prob, ordering, seed=0):
+    """The nodes of the plan, in the order realization_order realizes them."""
+    return [level.node for level in realization_order(prob, ordering, seed)]
+
+
 def test_order_on_fig3_topology(fixture_f2):
     prob = strip_instance(fixture_f2)
-    assert realization_order(prob, Ordering.MOST_CONNECTED) == [3, 4]
+    assert order_of(prob, Ordering.MOST_CONNECTED) == [3, 4]
 
 
 def test_order_star_topology_under_both_orderings():
     prob = star_problem()
     for ordering in Ordering:
         for seed in range(5):
-            assert realization_order(prob, ordering, seed) == [3, 4]
+            assert order_of(prob, ordering, seed) == [3, 4]
 
 
 def test_order_zero_unknowns():
@@ -85,21 +89,21 @@ def test_order_properties_on_random_instances():
             continue
         prob = strip_instance(inst)
         for ordering in Ordering:
-            order = realization_order(prob, ordering, seed=1)
+            order = order_of(prob, ordering, seed=1)
             assert sorted(order) == sorted(prob.unknown_ids)
             realized = set(prob.anchors)
             for node in order:
                 assert any(v in realized for v in prob.adjacency[node])
                 realized.add(node)
             # deterministic
-            assert realization_order(prob, ordering, seed=1) == order
+            assert order_of(prob, ordering, seed=1) == order
 
 
 def test_random_ordering_varies_with_seed():
     rng = random.Random(9)
     inst = generate_instance(20, 60, 12, 3, seed=rng.randint(0, 10**6))
     prob = strip_instance(inst)
-    orders = {tuple(realization_order(prob, Ordering.RANDOM, seed=s)) for s in range(10)}
+    orders = {tuple(order_of(prob, Ordering.RANDOM, seed=s)) for s in range(10)}
     assert len(orders) > 1
 
 
@@ -162,7 +166,7 @@ def test_realization_order_matches_resort_reference():
         for ordering in Ordering:
             for seed in range(4):
                 want = order_or_error(realization_order_resort, prob, ordering, seed)
-                assert order_or_error(realization_order, prob, ordering, seed) == want
+                assert order_or_error(order_of, prob, ordering, seed) == want
                 errors += isinstance(want, str)
     assert 0 < errors < len(problems) * len(Ordering) * 4
 
@@ -176,7 +180,38 @@ def test_realization_order_on_a_long_path():
         edges=tuple(Edge(k - 1, k, 1) for k in range(3, n)),
     )
     for ordering in Ordering:
-        assert realization_order(prob, ordering) == list(range(3, n))
+        assert order_of(prob, ordering) == list(range(3, n))
+
+
+def test_realization_order_rejects_an_ordering_that_is_not_an_ordering():
+    with pytest.raises(TypeError, match="^ordering must be an Ordering, got 'most-connected'"):
+        realization_order(star_problem(), "most-connected")
+
+
+def test_plan_nodes_are_the_adjacency_keys():
+    """A level's node is the adjacency's own int object, not a fresh int per pick (ids past
+    256 are not interned, so a fresh int would be a different object)."""
+    prob = chain_problem([1] * 997, 1)
+    ids = list(prob.adjacency)
+    for ordering in Ordering:
+        plan = realization_order(prob, ordering)
+        assert all(level.node is ids[level.node] for level in plan)
+
+
+def test_planning_a_long_chain_peaks_near_the_plan_it_leaves():
+    """Ordering and planning keep no per-node scratch beyond a few flat lists: on a
+    20k-node chain the peak stays within 1.5x of the plan that is left."""
+    prob = chain_problem([1] * 19_997, 1)
+    prob.adjacency  # cached on the problem: it is not part of the plan
+    realization_order(prob, Ordering.MOST_CONNECTED)  # the circle cache is warm
+    tracemalloc.start()
+    try:
+        plan = realization_order(prob, Ordering.MOST_CONNECTED)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(plan) == 19_997
+    assert peak <= 1.5 * live, (peak, live)
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +219,9 @@ def test_realization_order_on_a_long_path():
 # ---------------------------------------------------------------------------
 
 
-def first_level(prob, rules=RuleSet.UNIT_DISK):
+def first_level(prob):
     """The plan of the first tree level plus the positions sub_locations sees there."""
-    excl = rules.exclusion(prob.radius_sq)
-    level = plan_levels(prob, realization_order(prob, Ordering.MOST_CONNECTED), excl)[0]
+    level = realization_order(prob, Ordering.MOST_CONNECTED)[0]
     return level, [prob.anchors.get(i) for i in range(prob.n_nodes)]
 
 
@@ -223,13 +257,11 @@ def test_sub_locations_two_circle_intersection():
         anchors={0: (0, 0), 1: (10, 0), 2: (0, 20)},
         edges=(Edge(0, 3, 25), Edge(1, 3, 25)),
     )
+    level, pos = first_level(prob)
+    assert (level.pivot, level.checks) == (0, ((1, 25),))  # equal circles: lowest id pivots
+    assert placed(level, pos) == [(5, 0)]
+    assert len(level.offsets) == 12  # the pivot circle of squared radius 25
     for rules in RuleSet:
-        level, pos = first_level(prob, rules)
-        assert (level.pivot, level.checks) == (0, ((1, 25),))  # equal circles: lowest id pivots
-        assert level.expected == (2 if rules is RuleSet.UNIT_DISK else 0)
-        out = placed(level, pos)
-        assert out == [(5, 0)]
-        assert len(level.offsets) == 12  # the pivot circle of squared radius 25
         assert placements(prob, rules) == [(5, 0)]
 
 
@@ -269,7 +301,9 @@ def test_sub_locations_respects_bounds_flag():
 
 
 def plan_levels_reference(problem, order, excl):
-    """Reference plan: list each level's realized neighbours, then take the pivot with min()."""
+    """Reference plan of the given order: list each level's realized neighbours, take the
+    pivot with min(), and count the neighbours within excl edge by edge. Returns each
+    (Level, the number of realized points the no-edge test expects within excl)."""
     realized = set(problem.anchors)
     plan = []
     for node in order:
@@ -277,9 +311,15 @@ def plan_levels_reference(problem, order, excl):
         pivot, pivot_d2 = min(nbrs, key=lambda nb: len(circle_offsets(nb[1])))
         checks = tuple(nb for nb in nbrs if nb[0] != pivot)
         expected = sum(1 for _, d2 in nbrs if d2 <= excl)
-        plan.append(Level(node, pivot, pivot_d2, circle_offsets(pivot_d2), checks, expected))
+        plan.append((Level(node, pivot, pivot_d2, circle_offsets(pivot_d2), checks), expected))
         realized.add(node)
     return plan
+
+
+def derived_expected(level, excl):
+    """The count solve derives from excl: all realized neighbours under unit-disk rules
+    (every edge has d2 <= r^2 = excl), none under conventional ones (d2 >= 1 > excl = 0)."""
+    return len(level.checks) + 1 if excl else 0
 
 
 def test_plan_levels_matches_reference():
@@ -294,20 +334,25 @@ def test_plan_levels_matches_reference():
         done += 1
         prob = strip_instance(inst)
         for ordering in Ordering:
-            order = realization_order(prob, ordering, seed=done)
+            plan = realization_order(prob, ordering, seed=done)
+            order = [level.node for level in plan]
             for rules in RuleSet:
                 excl = rules.exclusion(prob.radius_sq)
-                assert plan_levels(prob, order, excl) == plan_levels_reference(prob, order, excl)
+                reference = plan_levels_reference(prob, order, excl)
+                assert plan == [level for level, _ in reference]
+                assert [derived_expected(level, excl) for level in plan] == [e for _, e in reference]
 
 
-def test_plan_levels_follow_the_order():
+def test_plan_follows_the_order():
     prob = star_problem()
-    plan = plan_levels(prob, [3, 4], prob.radius_sq)
+    plan = realization_order(prob, Ordering.MOST_CONNECTED)
     assert [lv.node for lv in plan] == [3, 4]
     # node 3: all three anchor circles have 4 points, so anchor 0 pivots
-    assert (plan[0].pivot, plan[0].checks, plan[0].expected) == (0, ((1, 2), (2, 2)), 3)
-    assert (plan[1].pivot, plan[1].checks, plan[1].expected) == (3, (), 1)
-    assert plan_levels(prob, [3, 4], 0)[0].expected == 0
+    assert (plan[0].pivot, plan[0].checks) == (0, ((1, 2), (2, 2)))
+    assert (plan[1].pivot, plan[1].checks) == (3, ())
+    for level, expected in zip(plan, (3, 1)):
+        assert derived_expected(level, prob.radius_sq) == expected
+        assert derived_expected(level, 0) == 0
 
 
 @pytest.mark.parametrize("r2, e", [(2, 1), (50, 25)])
@@ -456,12 +501,12 @@ def test_sub_locations_matches_circle_walk_reference():
             continue
         done += 1
         prob = strip_instance(inst)
-        order = realization_order(prob, Ordering.RANDOM, seed=done)
+        plan = realization_order(prob, Ordering.RANDOM, seed=done)
         for rules in RuleSet:
             excl = rules.exclusion(prob.radius_sq)
             realized = dict(prob.anchors)
             pos = [realized.get(i) for i in range(prob.n_nodes)]
-            for level in plan_levels(prob, order, excl):
+            for level in plan:
                 adj = prob.adjacency[level.node]
                 px, py = realized[level.pivot]
                 circle = [Point(px + dx, py + dy) for dx, dy in circle_offsets(level.pivot_d2)]

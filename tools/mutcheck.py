@@ -1,0 +1,134 @@
+"""Fail when a known fault in src/udgl/ survives the tests that should catch it.
+
+Each mutant names a file under src/, an exact snippet of it, the snippet's replacement
+and the tests that must fail on it. The runner first runs every named test on an
+unmutated copy of src/ (they must pass there, or a kill would mean nothing). Then, for
+each mutant, it copies src/ to a temporary directory, applies the one replacement, and
+runs the mutant's tests with `-x -q` in a child process whose PYTHONPATH starts with the
+copy; the child also fails the run if udgl was imported from anywhere but the copy.
+
+    python tools/mutcheck.py
+
+Exits 1 when a mutant survives, when its snippet does not occur exactly once in its
+file, or when a run did not import udgl from its copy. A refactor that rewrites a
+mutated line updates its snippet here.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SOLVER_TESTS = "tests/test_solver.py::"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+MUTANTS = (
+    Mutant(
+        "the pivot chosen by <= (the last of the smallest circles, not the lowest id)",
+        "udgl/solver.py",
+        "if best is None or len(circle) < len(best):",
+        "if best is None or len(circle) <= len(best):",
+        (SOLVER_TESTS + "test_plan_levels_matches_reference",),
+    ),
+    Mutant(
+        "the most-connected heap key's sign flipped on a count rise",
+        "udgl/solver.py",
+        "heappush(frontier, v - counts[v] * n)",
+        "heappush(frontier, v + counts[v] * n)",
+        (SOLVER_TESTS + "test_realization_order_matches_resort_reference",),
+    ),
+    Mutant(
+        "random ordering inserts a node on every count rise, not only the first",
+        "udgl/solver.py",
+        "elif counts[v] == 1:",
+        "elif counts[v] >= 1:",
+        (SOLVER_TESTS + "test_realization_order_matches_resort_reference",),
+    ),
+    Mutant(
+        "counts raised (and the frontier fed) for realized neighbours too",
+        "udgl/solver.py",
+        "                checks.append((v, d2))\n            else:\n",
+        "                checks.append((v, d2))\n            if True:\n",
+        (SOLVER_TESTS + "test_realization_order_matches_resort_reference",),
+    ),
+    Mutant(
+        "the unit-disk no-edge count without the pivot (+ 1 dropped)",
+        "udgl/solver.py",
+        "expects = [len(level.checks) + 1 for level in plan]",
+        "expects = [len(level.checks) for level in plan]",
+        (SOLVER_TESTS + "test_solve_fixture_f1_counts", SOLVER_TESTS + "test_cell_list_boundary"),
+    ),
+    Mutant(
+        "a most-connected pick as a fresh int (key % n) rather than the adjacency's key",
+        "udgl/solver.py",
+        "pick = ids[key % n]",
+        "pick = key % n",
+        (SOLVER_TESTS + "test_plan_nodes_are_the_adjacency_keys",),
+    ),
+)
+
+# Runs pytest on argv[2:]; exits 99 instead when udgl was not imported from the directory argv[1].
+_CHILD = """
+import sys
+import pytest
+code = pytest.main(sys.argv[2:])
+udgl = sys.modules.get("udgl")
+sys.exit(int(code) if udgl is not None and udgl.__file__.startswith(sys.argv[1]) else 99)
+"""
+WRONG_IMPORT = 99
+
+
+def run_tests(src: Path, tests) -> int:
+    """pytest's exit code for tests run with udgl imported from src (WRONG_IMPORT if it was not)."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    args = [sys.executable, "-c", _CHILD, str(src), "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(args, cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def copy_src(into: Path) -> Path:
+    return Path(shutil.copytree(ROOT / "src", into / "src", ignore=shutil.ignore_patterns("__pycache__")))
+
+
+def main() -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="mutcheck-") as tmp:
+        every_test = sorted({t for m in MUTANTS for t in m.tests})
+        code = run_tests(copy_src(Path(tmp) / "baseline"), every_test)
+        if code != 0:
+            print(f"the unmutated tests do not pass (pytest exit code {code}): {' '.join(every_test)}")
+            return 1
+        for k, mutant in enumerate(MUTANTS):
+            src = copy_src(Path(tmp) / str(k))
+            path = src / mutant.path
+            text = path.read_text()
+            found = text.count(mutant.snippet)
+            if found != 1:
+                print(f"ERROR    {mutant.name}: its snippet occurs {found} times in src/{mutant.path}")
+                failures += 1
+                continue
+            path.write_text(text.replace(mutant.snippet, mutant.replacement))
+            start = time.perf_counter()
+            code = run_tests(src, mutant.tests)
+            verdict = {0: "SURVIVED", 1: "killed", WRONG_IMPORT: "ERROR (udgl not imported from the copy)"}.get(
+                code, f"ERROR (pytest exit code {code})")
+            print(f"{verdict:8} {mutant.name} ({time.perf_counter() - start:.1f} s)")
+            failures += code != 1
+    print(f"mutants: {len(MUTANTS)}, not killed: {failures}")
+    return int(bool(failures))
+
+
+if __name__ == "__main__":
+    sys.exit(main())
