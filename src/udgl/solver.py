@@ -6,12 +6,13 @@ rule set. CONVENTIONAL prunes with edge-length equalities and distinctness
 only; UNIT_DISK additionally requires every non-adjacent realized pair to be
 strictly farther apart than the radius, which is what collapses the tree.
 The order is static, so a solve plans every level once, in the walk that orders it
-(realization_order), and the plan does not depend on the rule set. sub_locations, a
-pure function, gives a level's edge-consistent offsets from its pivot; solve walks them
-with an index, runs the bounds test and the no-edge test (on its cell list of
-realized points), and keeps every search count. verify checks a complete
-assignment by one ordered merge of pairs_within with the sorted edges, and
-format_solution_set and parse_solutions are the solution text format.
+(realization_order), and the plan does not depend on the rule set. sub_locations gives a
+level's edge-consistent offsets from its pivot, reading each two-circle meet through the
+solve's capped memo; solve walks them with an index, holds realized unknowns as plain
+(x, y) tuples (a Point is built per recorded solution), runs the bounds test and the
+no-edge test (on its cell list of realized points), and keeps every search count. verify
+checks a complete assignment by one ordered merge of pairs_within with the sorted edges,
+and format_solution_set and parse_solutions are the solution text format.
 
 A solve call is sequential and mutates no process-wide state (the lattice
 circle cache is thread-safe); Problem and SolverConfig are immutable, so
@@ -207,48 +208,66 @@ def realization_order(problem: Problem, ordering: Ordering, seed: int = 0) -> li
 # ---------------------------------------------------------------------------
 
 
-def sub_locations(level: Level, pos: list[Point | None]) -> tuple[tuple[int, int], ...]:
-    """In (dx, dy) order, the offsets from the pivot's point that meet every edge
-    constraint of level.node: the planned circle itself when the pivot is the one
-    realized neighbour, else the at most two lattice points where the first check's
-    circle meets it that pass the other checks. pos[i] is node i's point while i is
-    realized. A pure function: solve keeps the search's counts.
-    """
-    _, pivot, a, offsets, checks = level
-    if not checks:
-        return offsets
-    # Survivors lie where the first check's circle meets the pivot's: with v the
-    # (non-zero) offset between the centres, |o|^2 = a and |o - v|^2 = d2 give
-    # o.v = h, so o = (h*v + t*v_perp) / |v|^2 with t^2 = a*|v|^2 - h^2, a lattice
-    # point only when t is an integer and both divisions are exact. Such a point
-    # meets the first check exactly (2h = k, so |o - v|^2 = a - k + n = d2).
-    cx, cy = pos[pivot]
-    m, d2 = checks[0]
-    qx, qy = pos[m]
-    vx, vy = qx - cx, qy - cy
+# The most meets one solve's table holds (the largest of 200 fig-4/fig-5 trials held 4,241).
+MEET_CAP = 1 << 13
+
+
+def _meet(a: int, d2: int, vx: int, vy: int) -> tuple[tuple[int, int], ...]:
+    """The at most two lattice offsets o, sorted, with |o|^2 = a and |o - v|^2 = d2, for the
+    (non-zero) offset v = (vx, vy) between the circles' centres: o.v = h gives o = (h*v +
+    t*v_perp) / |v|^2 with t^2 = a*|v|^2 - h^2, a lattice point only when t is an integer and
+    both divisions are exact. Such a point meets the second circle exactly (2h = k)."""
     n = vx * vx + vy * vy
     k = a - d2 + n
     h = k >> 1
     disc = a * n - h * h
     t = isqrt(disc) if disc >= 0 else -1
-    out: list[tuple[int, int]] = []
-    if not k & 1 and t * t == disc:
-        for s in (-t, t) if t else (0,):
-            px = h * vx - s * vy
-            py = h * vy + s * vx
-            if px % n or py % n:
-                continue
-            dx, dy = px // n, py // n
-            for m, d2 in checks[1:]:
-                qx, qy = pos[m]
-                qx -= cx + dx
-                qy -= cy + dy
-                if qx * qx + qy * qy != d2:
-                    break
-            else:
-                out.append((dx, dy))
-        out.sort()
-    return tuple(out)  # on the active path a tuple is smaller than the list
+    if k & 1 or t * t != disc:
+        return ()
+    out = []
+    for s in (-t, t) if t else (0,):
+        px = h * vx - s * vy
+        py = h * vy + s * vx
+        if not (px % n or py % n):
+            out.append((px // n, py // n))
+    return tuple(sorted(out))  # on the active path a tuple is smaller than the list
+
+
+def sub_locations(level: Level, pos: list, meets: dict) -> tuple[tuple[int, int], ...]:
+    """In (dx, dy) order, the offsets from the pivot's point that meet every edge
+    constraint of level.node: the planned circle itself when the pivot is the one
+    realized neighbour, else the points of the first check's meet with it (_meet) that
+    pass the other checks. pos[i] is node i's point while i is realized. meets is the
+    solve's memo of _meet, keyed by its four arguments (v runs from the pivot's point to
+    the first check's); a miss is stored only while it holds fewer than MEET_CAP keys.
+    solve keeps the search's counts.
+    """
+    _, pivot, a, offsets, checks = level
+    if not checks:
+        return offsets
+    cx, cy = pos[pivot]
+    m, d2 = checks[0]
+    qx, qy = pos[m]
+    vx, vy = qx - cx, qy - cy
+    key = (a, d2, vx, vy)
+    meet = meets.get(key)
+    if meet is None:
+        meet = _meet(a, d2, vx, vy)
+        if len(meets) < MEET_CAP:
+            meets[key] = meet
+    if len(checks) == 1:
+        return meet
+    out = []
+    for dx, dy in meet:
+        for m, d2 in checks[1:]:
+            qx, qy = pos[m]
+            qx -= cx + dx
+            qy -= cy + dy
+            if qx * qx + qy * qy != d2:
+                break
+        else:
+            out.append((dx, dy))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +288,9 @@ def solve(problem: Problem, config: SolverConfig) -> SolutionSet:
     a leaf at depth N - M is a solution. The search stops early when find_all
     is false and a solution was recorded, or when instances_visited hits the
     budget, in which case budget_exhausted is flagged and the partial result
-    returned. A level of the active path keeps only its offsets (the plan's shared
-    circle or at most two points) and an index into them, and a Point is built per
-    visit, so memory stays O(N) whatever the tree or circle size.
+    returned. A level of the active path keeps its offsets (the plan's shared circle or
+    at most two points), an index into them and its point as a plain (x, y) tuple, so
+    memory stays O(N) whatever the tree or circle size; a Point is built per solution.
     """
     if config.enforce_bounds and problem.grid_side is None:
         raise ValueError("enforce_bounds requires a problem that kept its grid bounds")
@@ -285,10 +304,11 @@ def solve(problem: Problem, config: SolverConfig) -> SolutionSet:
     # Every edge has 1 <= d2 <= radius_sq, so the no-edge test at a level expects all of its
     # realized neighbours within excl under unit-disk rules (excl = r^2), none under conventional.
     expects = [len(level.checks) + 1 for level in plan] if excl else [0] * n_levels
-    pos: list[Point | None] = [problem.anchors.get(i) for i in range(problem.n_nodes)]
+    pos: list[tuple[int, int] | None] = [problem.anchors.get(i) for i in range(problem.n_nodes)]
+    meets: dict = {}  # this solve's table of two-circle meets (sub_locations)
     # The cell list of the realized points: the anchors, then the active path.
     side, around = cell_rule(excl)
-    cells: dict[tuple[int, int], list[Point]] = {}
+    cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for p in problem.anchors.values():
         cells.setdefault((p.x // side, p.y // side), []).append(p)
     get = cells.get
@@ -301,7 +321,7 @@ def solve(problem: Problem, config: SolverConfig) -> SolutionSet:
     # Level depth - 1 places node at offsets[k:] from (cx, cy), where it must have expected
     # realized points within excl; parents holds each level above's offsets and k.
     level = plan[0]
-    offsets = sub_locations(level, pos)
+    offsets = sub_locations(level, pos, meets)
     candidates += len(level.offsets)
     cx, cy = pos[level.pivot]
     node, expected = level.node, expects[0]
@@ -345,14 +365,14 @@ def solve(problem: Problem, config: SolverConfig) -> SolutionSet:
         visits += 1
         if depth > max_depth:
             max_depth = depth
-        pos[node] = point = Point(x, y)
+        pos[node] = point = (x, y)
         if depth == n_levels:
-            solutions.append(dict(enumerate(pos)))
+            solutions.append(dict(enumerate(map(Point._make, pos))))
             if find_all:
                 continue
             break
         level = plan[depth]
-        children = sub_locations(level, pos)
+        children = sub_locations(level, pos, meets)
         candidates += len(level.offsets)
         if children:
             cells.setdefault((kx, ky), []).append(point)

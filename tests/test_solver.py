@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+import udgl.solver
 from udgl.geometry import Point, cell_rule, circle_offsets, collinear, dist2
 from udgl.model import Edge, GenerationError, ParseError, Problem, generate_instance, strip_instance
 from udgl.solver import (
+    MEET_CAP,
     AnchorMismatchError,
     Level,
     MissingNodeError,
@@ -228,7 +230,7 @@ def first_level(prob):
 def placed(level, pos):
     """The points that sub_locations' offsets stand for: each offset from the pivot's point."""
     cx, cy = pos[level.pivot]
-    return [(cx + dx, cy + dy) for dx, dy in sub_locations(level, pos)]
+    return [(cx + dx, cy + dy) for dx, dy in sub_locations(level, pos, {})]
 
 
 def placements(prob, rules):
@@ -298,6 +300,57 @@ def test_sub_locations_respects_bounds_flag():
     bounded = [s[3] for s in res.solutions]
     assert bounded == [(1, 1)]
     assert len(level.offsets) + res.stats.candidates_checked == 8
+
+
+def test_sub_locations_shared_meet_table_matches_a_fresh_one(monkeypatch):
+    """One meet table shared by every level of many solves, under both rule sets and both
+    orderings, gives the offsets a fresh table per call gives: the key holds every value a
+    meet depends on, and the table keeps the meet itself, not the survivors of one level's
+    other checks."""
+    shared = {}
+    calls = 0
+
+    def both(level, pos, meets):
+        nonlocal calls
+        calls += 1
+        got = sub_locations(level, pos, shared)
+        assert got == sub_locations(level, pos, {})
+        return got
+
+    monkeypatch.setattr(udgl.solver, "sub_locations", both)
+    rng = random.Random(8)
+    done = 0
+    while done < 30:
+        try:
+            inst = generate_instance(rng.randint(10, 18), rng.choice((5, 10, 20, 40)), rng.randint(8, 16), 3,
+                                     seed=rng.randint(0, 10**6), max_attempts=40)
+        except GenerationError:
+            continue
+        done += 1
+        prob = strip_instance(inst)
+        for rules in RuleSet:
+            for ordering in Ordering:
+                solve(prob, SolverConfig(rules=rules, ordering=ordering, seed=done, budget=3000))
+    assert calls > 10 * len(shared) > 0  # most lookups hit a meet stored by another level or solve
+
+
+def test_sub_locations_full_meet_table_is_not_grown():
+    """A table at MEET_CAP still gives the right offsets, and a miss is not stored in it."""
+    prob = Problem(
+        n_nodes=4,
+        radius_sq=25,
+        anchors={0: (0, 0), 1: (10, 0), 2: (5, 5)},
+        edges=(Edge(0, 3, 25), Edge(1, 3, 25), Edge(2, 3, 25)),
+    )
+    level, pos = first_level(prob)
+    for checks in (level.checks, level.checks[:1]):  # the filtered meet, and the meet itself
+        one = level._replace(checks=checks)
+        full = {(0, 0, 0, i): () for i in range(MEET_CAP)}
+        assert sub_locations(one, pos, full) == ((5, 0),)
+        assert len(full) == MEET_CAP
+        fresh = {}
+        assert sub_locations(one, pos, fresh) == ((5, 0),)
+        assert fresh == {(25, 25, 10, 0): ((5, 0),)}  # (pivot_d2, first check's d2, v)
 
 
 def plan_levels_reference(problem, order, excl):
@@ -588,6 +641,28 @@ def test_solve_ground_truth_always_found():
             result = solve(prob, SolverConfig(rules=rules))
             assert not result.stats.budget_exhausted
             assert truth in result.solutions
+
+
+@pytest.mark.parametrize("find_all", [True, False])
+@pytest.mark.parametrize("rules", list(RuleSet))
+def test_recorded_solutions_hold_points(fixture_f1, fixture_f2, rules, find_all):
+    """Every value of every recorded solution, the anchors' included, is exactly a Point,
+    though the search keeps plain (x, y) tuples on its active path."""
+    all_anchors = Problem(n_nodes=3, radius_sq=1, anchors={0: (0, 0), 1: (1, 0), 2: (0, 1)},
+                          edges=(Edge(0, 1, 1), Edge(0, 2, 1)))
+    problems = [strip_instance(fixture_f1), strip_instance(fixture_f2), all_anchors]
+    rng = random.Random(4)
+    while len(problems) < 8:
+        try:
+            problems.append(strip_instance(generate_instance(14, 36, 9, 3, seed=rng.randint(0, 10**6), max_attempts=40)))
+        except GenerationError:
+            continue
+    for prob in problems:
+        solutions = solve(prob, SolverConfig(rules=rules, find_all=find_all)).solutions
+        assert solutions
+        for sol in solutions:
+            assert sorted(sol) == list(range(prob.n_nodes))
+            assert all(type(p) is Point for p in sol.values())
 
 
 def test_solve_tree_subset_invariant():

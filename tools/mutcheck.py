@@ -78,6 +78,42 @@ MUTANTS = (
         "pick = key % n",
         (SOLVER_TESTS + "test_plan_nodes_are_the_adjacency_keys",),
     ),
+    Mutant(
+        "the meet table's key without the pivot's squared length",
+        "udgl/solver.py",
+        "key = (a, d2, vx, vy)",
+        "key = (d2, vx, vy)",
+        (SOLVER_TESTS + "test_sub_locations_shared_meet_table_matches_a_fresh_one",),
+    ),
+    Mutant(
+        "the meet table's key without the first check's squared length",
+        "udgl/solver.py",
+        "key = (a, d2, vx, vy)",
+        "key = (a, vx, vy)",
+        (SOLVER_TESTS + "test_sub_locations_shared_meet_table_matches_a_fresh_one",),
+    ),
+    Mutant(
+        "the meet table storing the survivors of checks[1:] instead of the meet",
+        "udgl/solver.py",
+        "        if len(meets) < MEET_CAP:\n            meets[key] = meet\n    if len(checks) == 1:\n        return meet\n"
+        "    out = []\n",
+        "    if len(checks) == 1:\n        meets[key] = meet\n        return meet\n    out = meets[key] = []\n",
+        (SOLVER_TESTS + "test_sub_locations_shared_meet_table_matches_a_fresh_one",),
+    ),
+    Mutant(
+        "the meet table grown past its cap",
+        "udgl/solver.py",
+        "if len(meets) < MEET_CAP:",
+        "if True:",
+        (SOLVER_TESTS + "test_sub_locations_full_meet_table_is_not_grown",),
+    ),
+    Mutant(
+        "a solution recorded from the raw (x, y) tuples of the active path",
+        "udgl/solver.py",
+        "dict(enumerate(map(Point._make, pos)))",
+        "dict(enumerate(pos))",
+        (SOLVER_TESTS + "test_recorded_solutions_hold_points",),
+    ),
 )
 
 # Runs pytest on argv[2:]; exits 99 instead when udgl was not imported from the directory argv[1].
