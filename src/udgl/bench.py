@@ -14,11 +14,12 @@ import math
 import sys
 import time
 from dataclasses import MISSING, dataclass, fields
-from itertools import product
+from itertools import chain, product
 from typing import Callable, TextIO, get_args, get_origin, get_type_hints
 
 from .geometry import check_fields, field_rules
-from .model import GenerationError, Instance, ParseError, check_grid, generate_instance, parse_int, strip_instance, text_rows
+from .model import (GenerationError, Instance, ParseError, check_grid, encode_lines, generate_instance, parse_int,
+                    strip_instance, text_rows)
 from .solver import Ordering, RuleSet, SearchStats, SolutionSet, SolverConfig, solve
 
 class SpecValueError(ValueError):
@@ -118,13 +119,8 @@ def run_sweep(
                 if inst is None:
                     continue
                 problem = strip_instance(inst, keep_bounds=False)
-                config = SolverConfig(
-                    rules=rules,
-                    ordering=ordering,
-                    seed=spec.base_seed + t,
-                    find_all=spec.find_all,
-                    budget=spec.budget,
-                )
+                config = SolverConfig(rules=rules, ordering=ordering, seed=spec.base_seed + t,
+                                      find_all=spec.find_all, budget=spec.budget)
                 t0 = time.perf_counter()
                 result = solve(problem, config)
                 wall += time.perf_counter() - t0
@@ -133,19 +129,13 @@ def run_sweep(
                 done.append(result.stats)
             finished = [s for s in done if not s.budget_exhausted]
             cell = CellResult(
-                grid_side=spec.grid_side,
-                n_nodes=spec.n_nodes,
-                n_anchors=n_anchors,
-                radius_sq=radius_sq,
-                rules=rules,
-                ordering=ordering,
-                trials=spec.trials,
+                grid_side=spec.grid_side, n_nodes=spec.n_nodes, n_anchors=n_anchors, radius_sq=radius_sq,
+                rules=rules, ordering=ordering, trials=spec.trials,
                 mean_visits_per_unknown=_mean([s.instances_visited / n_unknowns for s in finished]),
                 mean_checks_per_unknown=_mean([s.candidates_checked / n_unknowns for s in finished]),
                 unique_fraction=_mean([s.solutions_found == 1 for s in finished]),
                 censored_fraction=_mean([s.budget_exhausted for s in done]),
-                wall_seconds=wall,
-                generation_failures=gen_failed,
+                wall_seconds=wall, generation_failures=gen_failed,
             )
             results.append(cell)
             r_over_c = math.sqrt(radius_sq) / spec.grid_side
@@ -202,8 +192,7 @@ CSV_HEADER = ",".join(name for name, _ in _CSV_COLUMNS)
 
 def write_csv(results: list[CellResult]) -> bytes:
     """Serialize cell results; byte-deterministic for a given result list."""
-    lines = [CSV_HEADER] + [",".join(text(c) for _, text in _CSV_COLUMNS) for c in results]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return encode_lines(chain([CSV_HEADER], (",".join(text(c) for _, text in _CSV_COLUMNS) for c in results)))
 
 
 # ---------------------------------------------------------------------------

@@ -108,14 +108,8 @@ def _load_problem(path: str) -> Problem:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     problem = _load_problem(args.file)
-    config = SolverConfig(
-        rules=RuleSet(args.rules),
-        ordering=Ordering(args.ordering),
-        seed=args.seed,
-        find_all=args.find_all,
-        budget=args.budget,
-        enforce_bounds=args.enforce_bounds,
-    )
+    config = SolverConfig(rules=RuleSet(args.rules), ordering=Ordering(args.ordering), seed=args.seed,
+                          find_all=args.find_all, budget=args.budget, enforce_bounds=args.enforce_bounds)
     result = solve(problem, config)
     text = format_solution_set(result, problem.n_nodes)
     if args.output:

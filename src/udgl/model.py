@@ -5,13 +5,13 @@ the solver receives (non-anchor positions withheld). Both serialize to the
 same line-based ``udgl 1`` text format. Values are immutable after
 construction and safe to share across threads.
 
-Each invariant (the sizes, a position, an edge, the anchor set, a connected
-network, a generated grid) has one rule, which the constructors, the generator
-and parse_file all call. parse_file checks the grid and anchor rules as soon as
-the node lines are read, and stops once a ground-truth file leaves more implied
-edges undeclared than edge lines remain, so any file costs time and memory in
-proportion to its bytes. text_rows and parse_int are the line grammar of every
-udgl text: instance, problem, solution and sweep-spec files.
+Each invariant (the sizes, a position, an edge, the anchor set, a connected network, a
+generated grid) has one rule, which the constructors, the generator and parse_file all call.
+parse_file checks the grid and anchor rules as soon as the node lines are read, and stops once
+a ground-truth file leaves more implied edges undeclared than edge lines remain, so any file
+costs time and memory in proportion to its bytes. text_rows and parse_int are the line grammar
+of every udgl text: instance, problem, solution and sweep-spec files. A text is read and
+written in chunks, never as a list of all its lines, and Problem.adjacency is CSR columns.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, chain, islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .geometry import COORD_LIMIT, Point, check_int, check_point, collinear, dist2, pairs_within
@@ -52,17 +53,34 @@ def decode_text(data: bytes | str) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # The bytes before the first bad one decode; a line count past them finds its line.
-        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        text = data[: exc.start].decode("utf-8")  # the bytes before the first bad one decode
+        line = 1 + sum(map(text.count, "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")) - text.count("\r\n")  # as splitlines
         raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line) from None
+
+
+READ_CHUNK, WRITE_CHUNK = 1 << 16, 1 << 12  # characters per piece read, lines per piece written
 
 
 def text_rows(data: bytes | str) -> Iterator[tuple[int, str]]:
     """(line number, stripped line) for each line that is neither blank nor a '#' comment:
-    the line grammar of every udgl text (instance, problem, solution and sweep-spec files)."""
-    for no, raw in enumerate(decode_text(data).splitlines(), 1):
-        if (s := raw.strip()) and s[0] != "#":
-            yield no, s
+    the line grammar of every udgl text (instance, problem, solution and sweep-spec files), read in
+    pieces of at least READ_CHUNK characters that each end just after a "\n" (no list of all its
+    lines is built, and the line numbers are those of str.splitlines on the whole text)."""
+    text = decode_text(data)
+    start = no = 0
+    while start < len(text):
+        cut = text.find("\n", start + READ_CHUNK)
+        end = cut + 1 if cut >= 0 else len(text)
+        for no, raw in enumerate(text[start:end].splitlines(), no + 1):
+            if (s := raw.strip()) and s[0] != "#":
+                yield no, s
+        start = end
+
+
+def encode_lines(lines: Iterator[str]) -> bytes:
+    """The lines as UTF-8 text, each ended by "\n", encoded WRITE_CHUNK lines at a time."""
+    chunks = iter(lambda: [*islice(lines, WRITE_CHUNK), ""], [""])  # "" ends the join with "\n"
+    return b"".join("\n".join(chunk).encode("utf-8") for chunk in chunks)
 
 
 def parse_int(token: str, line: int | None = None, what: str | None = None) -> int:
@@ -84,22 +102,15 @@ def parse_int(token: str, line: int | None = None, what: str | None = None) -> i
 
 
 def _is_connected(n: int, edges: Iterable[tuple[int, int, int]]) -> bool:
-    adj: list[list[int]] = [[] for _ in range(n)]
+    """Whether the edges join all n nodes: union-find with path halving, in one list of n ids."""
+    root = list(range(n))
     for i, j, _ in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    count = 0
-    while stack:
-        u = stack.pop()
-        count += 1
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return count == n
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        while root[j] != j:
+            root[j] = j = root[root[j]]
+        root[i] = j
+    return sum(root[u] == u for u in range(n)) == 1
 
 
 # One rule per Instance/Problem invariant; the constructors and parse_file both call them.
@@ -260,14 +271,23 @@ class Problem:
             last = _check_edge(i, j, d2, self.n_nodes, self.radius_sq, anchors, last)
 
     @cached_property
-    def adjacency(self) -> dict[int, dict[int, int]]:
-        """node id -> {neighbour id -> squared edge length}, neighbour keys ascending
-        (the edges are sorted by (i, j), so node u meets its neighbours in id order)."""
-        adj: dict[int, dict[int, int]] = {i: {} for i in range(self.n_nodes)}
-        for e in self.edges:
-            adj[e.i][e.j] = e.d2
-            adj[e.j][e.i] = e.d2
-        return adj
+    def adjacency(self) -> tuple[list[int], list[int], list[int]]:
+        """The edges as CSR columns (start, nbrs, d2s) of the edges' own ints: node u's neighbours
+        are nbrs[start[u]:start[u + 1]], ids ascending, with their squared lengths at the same places
+        of d2s. The edges are sorted by (i, j), so a row gets its lower neighbours before its upper."""
+        deg = [0] * self.n_nodes
+        for i, j, _ in self.edges:
+            deg[i] += 1
+            deg[j] += 1
+        start = [0, *accumulate(deg)]
+        fill = start[:-1]  # each row's next free place
+        nbrs, d2s = [0] * start[-1], [0] * start[-1]
+        for i, j, d2 in self.edges:
+            k = fill[i]
+            nbrs[k], d2s[k], fill[i] = j, d2, k + 1
+            k = fill[j]
+            nbrs[k], d2s[k], fill[j] = i, d2, k + 1
+        return start, nbrs, d2s
 
     @property
     def unknown_ids(self) -> tuple[int, ...]:
@@ -361,23 +381,17 @@ def strip_instance(inst: Instance, keep_bounds: bool = False) -> Problem:
 
 def write_file(obj: Instance | Problem) -> bytes:
     """Serialize to canonical text: UTF-8, LF endings, byte-deterministic."""
-    lines = ["udgl 1"]
+    head = ["udgl 1", f"radius_sq {obj.radius_sq}", f"nodes {obj.n_nodes}"]
     if obj.grid_side is not None:  # always present in an Instance
-        lines.append(f"grid {obj.grid_side}")
-    lines.append(f"radius_sq {obj.radius_sq}")
-    lines.append(f"nodes {obj.n_nodes}")
+        head.insert(1, f"grid {obj.grid_side}")
     if isinstance(obj, Instance):
-        for i, p in enumerate(obj.positions):
-            kind = "anchor" if obj.anchor_flags[i] else "unknown"
-            lines.append(f"node {i} {kind} {p.x} {p.y}")
+        kinds = ("unknown", "anchor")
+        nodes = (f"node {i} {kinds[f]} {x} {y}" for i, ((x, y), f) in enumerate(zip(obj.positions, obj.anchor_flags)))
     else:
-        for i in range(obj.n_nodes):
-            p = obj.anchors.get(i)
-            lines.append(f"node {i} anchor {p.x} {p.y}" if p is not None else f"node {i} unknown")
-    lines.append(f"edges {len(obj.edges)}")
-    for e in obj.edges:
-        lines.append(f"edge {e.i} {e.j} {e.d2}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        nodes = (f"node {i} unknown" if (p := obj.anchors.get(i)) is None else f"node {i} anchor {p.x} {p.y}"
+                 for i in range(obj.n_nodes))
+    edges = (f"edge {i} {j} {d2}" for i, j, d2 in obj.edges)
+    return encode_lines(chain(head, nodes, [f"edges {len(obj.edges)}"], edges))
 
 
 # One edge line with its three integers, as take("edge", 3) and parse_int accept it: in

@@ -48,13 +48,13 @@ def _ceil_sqrt(s: int) -> int:
 
 def _hop_counts(problem: Problem) -> dict[int, int]:
     """Minimum edge count from each unknown to the anchor set (multi-source BFS)."""
-    adj = problem.adjacency
+    start, nbrs, _ = problem.adjacency
     hops = {i: 0 for i in problem.anchors}
     frontier = list(problem.anchors)
     while frontier:
         nxt = []
         for u in frontier:
-            for v in adj[u]:
+            for v in nbrs[start[u]:start[u + 1]]:
                 if v not in hops:
                     hops[v] = hops[u] + 1
                     nxt.append(v)
@@ -102,17 +102,17 @@ def satisfies(problem: Problem, assignment: dict[int, Point], rules: RuleSet) ->
     return True
 
 
-def _fits(
-    px: np.ndarray, py: np.ndarray, placed: dict[int, Point], lengths: dict[int, int], excl: int
-) -> np.ndarray:
-    """Which candidate points (px, py) meet every constraint against the placed points.
+def _fits(px: np.ndarray, py: np.ndarray, placed: dict[int, Point], problem: Problem, u: int, excl: int) -> np.ndarray:
+    """Which candidate points (px, py) of node u meet every constraint against the placed points.
 
-    A placed neighbour (one in lengths) fixes the squared distance exactly; any
-    other placed point must lie farther than excl, which is 0 (distinct points)
-    under conventional rules and radius_sq under unit-disk rules.
+    A placed neighbour of u (in u's row of the problem's CSR adjacency) fixes the squared
+    distance exactly; any other placed point must lie farther than excl, which is 0 (distinct
+    points) under conventional rules and radius_sq under unit-disk rules.
     """
     import numpy as np
 
+    start, nbrs, d2s = problem.adjacency
+    lengths = dict(zip(nbrs[start[u]:start[u + 1]], d2s[start[u]:start[u + 1]]))
     mask = np.ones(px.shape, dtype=bool)
     for v, (vx, vy) in placed.items():
         s = (px - vx) ** 2 + (py - vy) ** 2
@@ -142,7 +142,6 @@ def brute_force_solutions(problem: Problem, rules: RuleSet, work_limit: int = 10
     if not unknowns:
         return [base] if satisfies(problem, base, rules) else []
 
-    adj = problem.adjacency
     excl = problem.radius_sq if rules is RuleSet.UNIT_DISK else 0
     examined = 0
 
@@ -166,7 +165,7 @@ def brute_force_solutions(problem: Problem, rules: RuleSet, work_limit: int = 10
             indexing="ij",
         )
         px, py = gx.ravel(), gy.ravel()
-        mask = _fits(px, py, problem.anchors, adj[u], excl)
+        mask = _fits(px, py, problem.anchors, problem, u, excl)
         domains[u] = (px[mask], py[mask])
 
     order = sorted(unknowns, key=lambda u: (len(domains[u][0]), u))
@@ -177,7 +176,7 @@ def brute_force_solutions(problem: Problem, rules: RuleSet, work_limit: int = 10
         u = order[idx]
         dx, dy = domains[u]
         examine(len(dx))
-        mask = _fits(dx, dy, chosen, adj[u], excl)
+        mask = _fits(dx, dy, chosen, problem, u, excl)
         last = idx + 1 == len(order)
         for x, y in zip(dx[mask].tolist(), dy[mask].tolist()):
             chosen[u] = Point(x, y)

@@ -1,22 +1,18 @@
 """Depth-first localization search over integer lattice placements.
 
-The search realizes one unknown node per tree level, enumerating the lattice
-circle around a realized neighbour and pruning candidates against the active
-rule set. CONVENTIONAL prunes with edge-length equalities and distinctness
-only; UNIT_DISK additionally requires every non-adjacent realized pair to be
-strictly farther apart than the radius, which is what collapses the tree.
-The order is static, so a solve plans every level once, in the walk that orders it
-(realization_order), and the plan does not depend on the rule set. sub_locations gives a
-level's edge-consistent offsets from its pivot, reading each two-circle meet through the
-solve's capped memo; solve walks them with an index, holds realized unknowns as plain
-(x, y) tuples (a Point is built per recorded solution), runs the bounds test and the
-no-edge test (on its cell list of realized points), and keeps every search count. verify
-checks a complete assignment by one ordered merge of pairs_within with the sorted edges,
-and format_solution_set and parse_solutions are the solution text format.
+The search realizes one unknown node per tree level, enumerating the lattice circle around a
+realized neighbour and pruning candidates against the active rule set. CONVENTIONAL prunes with
+edge-length equalities and distinctness only; UNIT_DISK additionally requires every non-adjacent
+realized pair to be strictly farther apart than the radius, which is what collapses the tree.
+realization_order plans every level once, in the walk of the problem's CSR adjacency that orders
+it, whatever the rule set; a level's checks are one flat tuple. sub_locations gives a level's
+edge-consistent offsets through the solve's capped memo of two-circle meets; solve walks them,
+runs the bounds and no-edge tests and keeps every search count. verify is one ordered merge of
+pairs_within with the sorted edges; format_solution_set and parse_solutions are the solution
+text format.
 
-A solve call is sequential and mutates no process-wide state (the lattice
-circle cache is thread-safe); Problem and SolverConfig are immutable, so
-independent solve calls may run in parallel threads.
+A solve call is sequential and mutates no process-wide state (the lattice circle cache is
+thread-safe); Problem and SolverConfig are immutable, so solve calls may run in parallel threads.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from math import isqrt
 from typing import NamedTuple, get_type_hints
 
 from .geometry import Point, cell_rule, check_fields, circle_offsets, dist2, field_rules, pairs_within
-from .model import ParseError, Problem, parse_int, text_rows
+from .model import ParseError, Problem, encode_lines, parse_int, text_rows
 
 
 class RuleSet(Enum):
@@ -117,48 +113,46 @@ class SolutionSet:
 
 class Level(NamedTuple):
     """What every expansion at one level checks: node is placed on the pivot's circle
-    (offsets, of squared radius pivot_d2), and checks are its other realized neighbours
-    with their squared edge lengths, ids ascending."""
+    (offsets, of squared radius pivot_d2), and checks holds its other realized neighbours,
+    ids ascending, each followed by its squared edge length: one flat (m1, d1, m2, d2, ...)."""
 
     node: int
     pivot: int
     pivot_d2: int
     offsets: tuple[Point, ...]
-    checks: tuple[tuple[int, int], ...]
+    checks: tuple[int, ...]
 
 
 def realization_order(problem: Problem, ordering: Ordering, seed: int = 0) -> list[Level]:
     """The plan: one Level per unknown, in the static order that every branch shares.
 
-    Each node in the order has at least one edge into the anchors plus the
-    nodes before it. MOST_CONNECTED greedily maximizes that edge count
-    (lowest id on ties); RANDOM picks uniformly among currently eligible
-    nodes, in ascending id order, with one rng.randrange per step.
+    Each node in the order has at least one edge into the anchors plus the nodes before it.
+    MOST_CONNECTED greedily maximizes that edge count (lowest id on ties); RANDOM picks uniformly
+    among currently eligible nodes, in ascending id order, with one rng.randrange per step.
 
-    A pick is planned in the walk that raises its unrealized neighbours' counts: its
-    realized neighbours, ids ascending, are its level's pivot and checks. The pivot's edge
-    spans the fewest lattice circle points (lowest id on ties). Only these edges get
-    circles, memoized per call: an anchor-anchor edge may be far too long to scan.
+    A pick is planned in the walk of its CSR row that raises its unrealized neighbours' counts:
+    its realized neighbours, ids ascending, are its level's pivot and checks. The pivot's edge
+    spans the fewest lattice circle points (lowest id on ties). Only these edges get circles,
+    memoized per call: an anchor-anchor edge may be far too long to scan.
 
-    The order is built in O(E log N) comparisons, because the eligible
-    frontier is kept incrementally and never rebuilt. MOST_CONNECTED pops a
-    lazy min-heap of int keys id - count * N (a larger count first, then the
-    lower id) that gets a fresh entry whenever a count rises, and skips stale
-    entries (at most one per edge). RANDOM keeps the eligible ids in a list
-    sorted with bisect, whose inserts and pops shift at most the frontier in
-    one memmove.
+    The order is built in O(E log N) comparisons, because the eligible frontier is kept
+    incrementally and never rebuilt. MOST_CONNECTED pops a lazy min-heap of int keys
+    id - count * N (a larger count first, then the lower id) that gets a fresh entry whenever a
+    count rises, and skips stale entries (at most one per edge). RANDOM keeps the eligible ids in
+    a list sorted with bisect, whose inserts and pops shift at most the frontier in one memmove.
     """
     if not isinstance(ordering, Ordering):
         raise TypeError(f"ordering must be an Ordering, got {ordering!r}")
-    adj = problem.adjacency
-    ids = list(adj)  # a pick is the adjacency's own key object, not a fresh int
+    start, nbrs, d2s = problem.adjacency
     n = problem.n_nodes
     realized = [False] * n
     counts = [0] * n
+    ids: list = [None] * n  # a pick is its int object in nbrs, not a fresh int
     for a in problem.anchors:
         realized[a] = True
-        for v in adj[a]:
+        for v in nbrs[start[a]:start[a + 1]]:
             counts[v] += 1
+            ids[v] = v
     most = ordering is Ordering.MOST_CONNECTED
     frontier = [u for u in range(n) if counts[u] and not realized[u]]
     if most:
@@ -182,23 +176,27 @@ def realization_order(problem: Problem, ordering: Ordering, seed: int = 0) -> li
             pending = [u for u in range(n) if not realized[u]]
             raise NoEligibleNodeError(f"nodes {pending} have no path of edges to the anchors")
         realized[pick] = True
-        checks = []  # the realized neighbours, ids ascending; the pivot is taken out below
+        checks = []  # the realized neighbours and lengths, ids ascending; the pivot is taken out below
         best = None
-        for v, d2 in adj[pick].items():
+        for k in range(start[pick], start[pick + 1]):
+            v = nbrs[k]
             if realized[v]:
+                d2 = d2s[k]
                 circle = circles.get(d2)
                 if circle is None:
                     circle = circles[d2] = circle_offsets(d2)
                 if best is None or len(circle) < len(best):
                     at, best = len(checks), circle
-                checks.append((v, d2))
+                checks.append(v)
+                checks.append(d2)
             else:
                 counts[v] += 1
+                ids[v] = v
                 if most:
                     heappush(frontier, v - counts[v] * n)
                 elif counts[v] == 1:
                     insort(frontier, v)
-        pivot, pivot_d2 = checks.pop(at)
+        pivot, pivot_d2 = checks.pop(at), checks.pop(at)
         plan.append(Level(pick, pivot, pivot_d2, best, tuple(checks)))
     return plan
 
@@ -234,20 +232,18 @@ def _meet(a: int, d2: int, vx: int, vy: int) -> tuple[tuple[int, int], ...]:
 
 
 def sub_locations(level: Level, pos: list, meets: dict) -> tuple[tuple[int, int], ...]:
-    """In (dx, dy) order, the offsets from the pivot's point that meet every edge
-    constraint of level.node: the planned circle itself when the pivot is the one
-    realized neighbour, else the points of the first check's meet with it (_meet) that
-    pass the other checks. pos[i] is node i's point while i is realized. meets is the
-    solve's memo of _meet, keyed by its four arguments (v runs from the pivot's point to
-    the first check's); a miss is stored only while it holds fewer than MEET_CAP keys.
-    solve keeps the search's counts.
-    """
+    """In (dx, dy) order, the offsets from the pivot's point that meet every edge constraint of
+    level.node: the planned circle itself when the pivot is the one realized neighbour, else the
+    points of the first check's meet with it (_meet) that pass the others, read from the flat
+    checks by one iterator. pos[i] is node i's point while i is realized. meets is the solve's
+    memo of _meet, keyed by its four arguments (v runs from the pivot's point to the first
+    check's); a miss is stored only while it holds fewer than MEET_CAP keys. solve keeps the
+    search's counts."""
     _, pivot, a, offsets, checks = level
     if not checks:
         return offsets
     cx, cy = pos[pivot]
-    m, d2 = checks[0]
-    qx, qy = pos[m]
+    (qx, qy), d2 = pos[checks[0]], checks[1]
     vx, vy = qx - cx, qy - cy
     key = (a, d2, vx, vy)
     meet = meets.get(key)
@@ -255,15 +251,17 @@ def sub_locations(level: Level, pos: list, meets: dict) -> tuple[tuple[int, int]
         meet = _meet(a, d2, vx, vy)
         if len(meets) < MEET_CAP:
             meets[key] = meet
-    if len(checks) == 1:
+    if len(checks) == 2:
         return meet
     out = []
+    tail = checks[2:]  # the meet passes the first check already
     for dx, dy in meet:
-        for m, d2 in checks[1:]:
+        rest = iter(tail)
+        for m in rest:
             qx, qy = pos[m]
             qx -= cx + dx
             qy -= cy + dy
-            if qx * qx + qy * qy != d2:
+            if qx * qx + qy * qy != next(rest):
                 break
         else:
             out.append((dx, dy))
@@ -277,20 +275,21 @@ def sub_locations(level: Level, pos: list, meets: dict) -> tuple[tuple[int, int]
 
 def _anchors_consistent(problem: Problem, excl: int) -> bool:
     """Non-adjacent anchor pairs must lie farther apart than the exclusion radius."""
-    ids, adj = list(problem.anchors), problem.adjacency
-    return all(ids[b] in adj[ids[a]] for a, b, _ in pairs_within(list(problem.anchors.values()), excl))
+    ids, (start, nbrs, _) = list(problem.anchors), problem.adjacency
+    pairs = pairs_within(list(problem.anchors.values()), excl)
+    return all(ids[b] in nbrs[start[ids[a]]:start[ids[a] + 1]] for a, b, _ in pairs)
 
 
 def solve(problem: Problem, config: SolverConfig) -> SolutionSet:
     """Depth-first search for all (or the first) complete realizations.
 
-    Level l of the tree places the l-th node of the static realization order;
-    a leaf at depth N - M is a solution. The search stops early when find_all
-    is false and a solution was recorded, or when instances_visited hits the
-    budget, in which case budget_exhausted is flagged and the partial result
-    returned. A level of the active path keeps its offsets (the plan's shared circle or
-    at most two points), an index into them and its point as a plain (x, y) tuple, so
-    memory stays O(N) whatever the tree or circle size; a Point is built per solution.
+    Level l of the tree places the l-th node of the static realization order; a leaf at depth
+    N - M is a solution. The search stops early when find_all is false and a solution was
+    recorded, or when instances_visited hits the budget, in which case budget_exhausted is
+    flagged and the partial result returned. A level of the active path keeps its offsets (the
+    plan's shared circle or at most two points), an index into them and its point as a plain
+    (x, y) tuple; with the CSR adjacency, the plan and the cell list, that is a few flat lists
+    and tuples per node whatever the tree or circle size. A Point is built per solution.
     """
     if config.enforce_bounds and problem.grid_side is None:
         raise ValueError("enforce_bounds requires a problem that kept its grid bounds")
@@ -303,7 +302,7 @@ def solve(problem: Problem, config: SolverConfig) -> SolutionSet:
     n_levels = len(plan)
     # Every edge has 1 <= d2 <= radius_sq, so the no-edge test at a level expects all of its
     # realized neighbours within excl under unit-disk rules (excl = r^2), none under conventional.
-    expects = [len(level.checks) + 1 for level in plan] if excl else [0] * n_levels
+    expects = [len(level.checks) // 2 + 1 for level in plan] if excl else [0] * n_levels
     pos: list[tuple[int, int] | None] = [problem.anchors.get(i) for i in range(problem.n_nodes)]
     meets: dict = {}  # this solve's table of two-circle meets (sub_locations)
     # The cell list of the realized points: the anchors, then the active path.
@@ -375,7 +374,10 @@ def solve(problem: Problem, config: SolverConfig) -> SolutionSet:
         children = sub_locations(level, pos, meets)
         candidates += len(level.offsets)
         if children:
-            cells.setdefault((kx, ky), []).append(point)
+            if (cell := get((kx, ky))) is None:  # a list only for a new cell, and of one slot
+                cells[kx, ky] = [point]
+            else:
+                cell.append(point)
             parents.append(offsets)
             parents.append(k)
             offsets = children
@@ -454,14 +456,16 @@ _FIELD_COUNTS = {"sol": 1, "node": 3, "stat": 2}  # the fields after each row ke
 
 def format_solution_set(result: SolutionSet, n_nodes: int) -> bytes:
     """Serialize a SolutionSet to canonical text (UTF-8, LF, byte-deterministic)."""
-    lines = [f"solutions {len(result.solutions)}"]
-    for k, sol in enumerate(result.solutions):
-        lines.append(f"sol {k}")
-        for i in range(n_nodes):
-            x, y = sol[i]
-            lines.append(f"node {i} {x} {y}")
-    lines += [f"stat {name} {int(getattr(result.stats, field))}" for name, field in _STATS.items()]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    def lines():
+        yield f"solutions {len(result.solutions)}"
+        for k, sol in enumerate(result.solutions):
+            yield f"sol {k}"
+            for i in range(n_nodes):
+                x, y = sol[i]
+                yield f"node {i} {x} {y}"
+        yield from (f"stat {name} {int(getattr(result.stats, field))}" for name, field in _STATS.items())
+
+    return encode_lines(lines())
 
 
 def parse_solutions(data: bytes | str) -> list[dict[int, Point]]:

@@ -16,7 +16,7 @@ from udgl.cli import main
 from udgl.model import GenerationError, generate_instance, parse_file, strip_instance, write_file
 from udgl.oracle import brute_force_solutions
 from udgl.solver import Ordering, RuleSet, SolverConfig, solve
-from tests.conftest import FIXTURE_DIR
+from tests.conftest import FIXTURE_DIR, neighbours
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -160,7 +160,7 @@ def test_criterion_2_rigidity_not_necessary_fixture():
     solver_conv = solve(prob, SolverConfig(rules=RuleSet.CONVENTIONAL))
     solver_ud = solve(prob, SolverConfig(rules=RuleSet.UNIT_DISK))
     unknown = prob.unknown_ids[0]
-    anchor_degree = sum(1 for v in prob.adjacency[unknown] if v in prob.anchors)
+    anchor_degree = sum(1 for v in neighbours(prob, unknown) if v in prob.anchors)
     ok = (
         len(conv) == 2
         and len(ud) == 1

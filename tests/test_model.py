@@ -10,10 +10,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import udgl.model
 from udgl.bench import parse_sweep_spec
 from udgl.cli import main
 from udgl.geometry import COORD_LIMIT, collinear, dist2, pairs_within
 from udgl.model import (
+    READ_CHUNK,
     Edge,
     GenerationError,
     Instance,
@@ -22,9 +24,11 @@ from udgl.model import (
     generate_instance,
     parse_file,
     strip_instance,
+    text_rows,
     write_file,
 )
-from udgl.solver import SolverConfig, format_solution_set, parse_solutions, solve
+from udgl.solver import RuleSet, SolverConfig, format_solution_set, parse_solutions, solve
+from tests.conftest import neighbours
 
 
 def test_generate_paper_scale_instance():
@@ -210,23 +214,45 @@ def test_problem_adjacency():
         anchors={0: (0, 0), 1: (3, 0), 2: (0, 3)},
         edges=(Edge(0, 1, 9), Edge(1, 3, 2), Edge(0, 3, 4)),
     )
-    assert prob.adjacency[3] == {0: 4, 1: 2}
-    assert prob.adjacency[0] == {1: 9, 3: 4}
-    assert prob.adjacency[2] == {}
+    assert prob.adjacency == ([0, 2, 4, 4, 6], [1, 3, 0, 3, 0, 1], [9, 4, 9, 2, 4, 2])
+    assert neighbours(prob, 3) == {0: 4, 1: 2}
+    assert neighbours(prob, 0) == {1: 9, 3: 4}
+    assert neighbours(prob, 2) == {}
     assert prob.unknown_ids == (3,)
+    assert prob.adjacency is prob.adjacency  # built once, cached on the problem
 
 
-def test_problem_adjacency_keys_ascending_whatever_the_edge_order():
-    inst = generate_instance(30, 60, 60, 4, seed=12)
-    edges = list(inst.edges)
-    random.Random(3).shuffle(edges)
-    prob = Problem(inst.n_nodes, inst.radius_sq, strip_instance(inst).anchors, tuple(edges))
-    want = {i: {} for i in range(inst.n_nodes)}
-    for i, j, d2 in inst.edges:
-        want[i][j] = want[j][i] = d2
-    assert prob.adjacency == want
-    for u, nbrs in prob.adjacency.items():
-        assert list(nbrs) == sorted(want[u])
+def adjacency_reference(n, edges):
+    """node -> {neighbour id: squared edge length}, filled edge by edge."""
+    adj = {u: {} for u in range(n)}
+    for i, j, d2 in edges:
+        adj[i][j] = adj[j][i] = d2
+    return adj
+
+
+def test_problem_adjacency_matches_a_dict_of_dicts_whatever_the_edge_order():
+    """On random problems, in any edge order and with edges dropped, the CSR columns hold every
+    node's neighbours of the reference, ids ascending, as the edges' own int objects."""
+    rng = random.Random(12)
+    done = 0
+    while done < 25:
+        try:
+            inst = generate_instance(30, rng.choice((10, 60, 200)), rng.randint(5, 80), 4,
+                                     seed=rng.randint(0, 10**6), max_attempts=40)
+        except GenerationError:
+            continue
+        done += 1
+        edges = [e for e in inst.edges if rng.random() < 0.8]
+        rng.shuffle(edges)
+        prob = Problem(inst.n_nodes, inst.radius_sq, strip_instance(inst).anchors, tuple(edges))
+        want = adjacency_reference(inst.n_nodes, edges)
+        start, nbrs, d2s = prob.adjacency
+        assert len(start) == inst.n_nodes + 1 and start[0] == 0 and start[-1] == len(nbrs) == len(d2s) == 2 * len(edges)
+        for u in range(inst.n_nodes):
+            assert list(nbrs[start[u]:start[u + 1]]) == sorted(want[u])
+            assert neighbours(prob, u) == want[u]
+        held = {id(x) for e in prob.edges for x in e}
+        assert all(id(x) in held for x in nbrs + d2s)
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +542,7 @@ def test_respaced_ground_truth_parses_in_linear_time():
         (b"udgl 1\n# caf\xc3\xa9 \xc3\n", 2),  # a valid two-byte char, then a truncated one
         (b"udgl 1\r\n\r\nnodes \xed\xa0\x80\n", 3),  # an encoded surrogate
         (b"udgl 1\x0cgrid \x80", 2),  # splitlines() counts the form feed as a line break
+        ("a\rb\r\n\n\x0b\x1c\x1d\x1e\x85\u2028\u2029#\r".encode() + b"\xc3(", 12),  # every other line break
     ],
 )
 def test_parse_reports_invalid_utf8_at_its_line(data, line):
@@ -535,7 +562,59 @@ def test_parse_peak_memory_is_a_small_multiple_of_the_instance():
     finally:
         tracemalloc.stop()
     assert isinstance(inst, Instance) and len(inst.edges) > 30_000
-    assert peak - base <= 2.2 * (size - base)
+    assert peak - base <= 1.7 * (size - base)
+
+
+def test_writers_peak_within_3x_the_bytes_they_return():
+    """write_file and format_solution_set encode WRITE_CHUNK lines at a time and hold no list or
+    str of all their lines: each peaks within 3x the bytes it returns (2.0-2.4x on CPython 3.11,
+    where a list of every line peaked at about 6x)."""
+    inst = generate_instance(1000, 2500, 3000, 30, seed=0)
+    n = 20_000
+    chain = Problem(n, 1, {0: (0, 0), 1: (0, 5), 2: (-5, 0)}, tuple(Edge(k - 1, k, 1) for k in range(3, n)))
+    res = solve(chain, SolverConfig(rules=RuleSet.CONVENTIONAL, find_all=False))
+    for write in (lambda: write_file(inst), lambda: write_file(chain), lambda: format_solution_set(res, n)):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            data = write()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(data) > 300_000 and peak <= 3 * len(data), peak / len(data)
+
+
+def splitlines_rows(text):
+    """The line grammar as one filter of str.splitlines over the whole text."""
+    return [(no, s) for no, raw in enumerate(text.splitlines(), 1) if (s := raw.strip()) and s[0] != "#"]
+
+
+# Every line boundary str.splitlines knows, "\r\n" included.
+_SEPARATORS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def test_text_rows_cut_into_chunks_numbers_lines_as_splitlines(monkeypatch):
+    """text_rows reads a text in pieces, each cut just after a "\n": with every separator
+    at and around a cut, with blank and comment lines there, and with or without a final
+    "\n", its rows are those of one splitlines over the whole text, bytes or str. The
+    placements run with 8-character pieces, random texts with READ_CHUNK ones."""
+    texts = []
+    for sep in _SEPARATORS:
+        for at in range(5, 12):
+            for tail in ("\nlast", "\n", "# comment\nz", "\n\n x \n"):
+                head = ("ab\n" * 4)[:at]
+                texts.append(head + sep + "\n" + sep + "next" + sep + tail)
+                texts.append(head + "\n" + sep + "b" + sep + "\n" * (at % 3) + tail)
+    rng = random.Random(5)
+    pieces = ["row", " ", "#", "x y", *_SEPARATORS, "\n", "\n", "\r\n"]
+    long_texts = ["".join(rng.choice(pieces) for _ in range(READ_CHUNK)) for _ in range(3)]
+    for chunk, batch in ((8, texts), (READ_CHUNK, long_texts)):
+        monkeypatch.setattr(udgl.model, "READ_CHUNK", chunk)
+        for text in batch:
+            assert len(text) > chunk and "\n" in text[chunk:]  # at least one cut
+            want = splitlines_rows(text)
+            assert list(text_rows(text)) == want
+            assert list(text_rows(text.encode())) == want
 
 
 def _dense_ground_truth(n: int, collinear_anchors: bool) -> bytes:

@@ -14,7 +14,7 @@ from udgl.oracle import (
     satisfies,
 )
 from udgl.solver import NoEligibleNodeError, Ordering, RuleSet, SolverConfig, solve, verify
-from tests.conftest import FIXTURE_DIR
+from tests.conftest import FIXTURE_DIR, neighbours
 
 
 def canon(solutions):
@@ -104,7 +104,7 @@ def move(inst, rng):
     prob = strip_instance(inst)
     u = rng.choice(prob.unknown_ids)
     truth = inst.assignment()
-    nbrs = prob.adjacency[u]
+    nbrs = neighbours(prob, u)
     r2, r = prob.radius_sq, isqrt(prob.radius_sq)
     vx, vy = truth[next(iter(nbrs))]
     taken = set(inst.positions)  # a free point is at least 1 from every neighbour

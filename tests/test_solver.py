@@ -28,6 +28,7 @@ from udgl.solver import (
     sub_locations,
     verify,
 )
+from tests.conftest import neighbours
 
 
 def canon(solutions):
@@ -95,7 +96,7 @@ def test_order_properties_on_random_instances():
             assert sorted(order) == sorted(prob.unknown_ids)
             realized = set(prob.anchors)
             for node in order:
-                assert any(v in realized for v in prob.adjacency[node])
+                assert any(v in realized for v in neighbours(prob, node))
                 realized.add(node)
             # deterministic
             assert order_of(prob, ordering, seed=1) == order
@@ -111,7 +112,7 @@ def test_random_ordering_varies_with_seed():
 
 def realization_order_resort(problem, ordering, seed=0):
     """Reference order: rebuild and sort the eligible set on every step, O(N^2 log N)."""
-    adj = problem.adjacency
+    adj = {u: neighbours(problem, u) for u in range(problem.n_nodes)}
     realized = set(problem.anchors)
     pending = {i for i in range(problem.n_nodes) if i not in realized}
     counts = {u: sum(1 for v in adj[u] if v in realized) for u in pending}
@@ -190,14 +191,14 @@ def test_realization_order_rejects_an_ordering_that_is_not_an_ordering():
         realization_order(star_problem(), "most-connected")
 
 
-def test_plan_nodes_are_the_adjacency_keys():
-    """A level's node is the adjacency's own int object, not a fresh int per pick (ids past
-    256 are not interned, so a fresh int would be a different object)."""
+def test_plan_nodes_are_the_adjacency_ints():
+    """A level's node is an int object that the adjacency's nbrs column holds, not a fresh
+    int per pick (ids past 256 are not interned, so a fresh int would be a different object)."""
     prob = chain_problem([1] * 997, 1)
-    ids = list(prob.adjacency)
+    held = {id(v) for v in prob.adjacency[1]}
     for ordering in Ordering:
         plan = realization_order(prob, ordering)
-        assert all(level.node is ids[level.node] for level in plan)
+        assert len(plan) == 997 and all(id(level.node) in held for level in plan)
 
 
 def test_planning_a_long_chain_peaks_near_the_plan_it_leaves():
@@ -260,7 +261,7 @@ def test_sub_locations_two_circle_intersection():
         edges=(Edge(0, 3, 25), Edge(1, 3, 25)),
     )
     level, pos = first_level(prob)
-    assert (level.pivot, level.checks) == (0, ((1, 25),))  # equal circles: lowest id pivots
+    assert (level.pivot, level.checks) == (0, (1, 25))  # equal circles: lowest id pivots
     assert placed(level, pos) == [(5, 0)]
     assert len(level.offsets) == 12  # the pivot circle of squared radius 25
     for rules in RuleSet:
@@ -271,7 +272,7 @@ def test_sub_locations_candidate_count_is_pivot_circle_size(fixture_f1):
     prob = strip_instance(fixture_f1)
     unknown = prob.unknown_ids[0]
     best = min(
-        (len(circle_offsets(d2)), m) for m, d2 in prob.adjacency[unknown].items() if m in prob.anchors
+        (len(circle_offsets(d2)), m) for m, d2 in neighbours(prob, unknown).items() if m in prob.anchors
     )
     level, pos = first_level(prob)
     assert (level.node, level.pivot) == (unknown, best[1])
@@ -343,7 +344,7 @@ def test_sub_locations_full_meet_table_is_not_grown():
         edges=(Edge(0, 3, 25), Edge(1, 3, 25), Edge(2, 3, 25)),
     )
     level, pos = first_level(prob)
-    for checks in (level.checks, level.checks[:1]):  # the filtered meet, and the meet itself
+    for checks in (level.checks, level.checks[:2]):  # the filtered meet, and the meet itself
         one = level._replace(checks=checks)
         full = {(0, 0, 0, i): () for i in range(MEET_CAP)}
         assert sub_locations(one, pos, full) == ((5, 0),)
@@ -360,9 +361,9 @@ def plan_levels_reference(problem, order, excl):
     realized = set(problem.anchors)
     plan = []
     for node in order:
-        nbrs = [(m, d2) for m, d2 in problem.adjacency[node].items() if m in realized]
+        nbrs = [(m, d2) for m, d2 in neighbours(problem, node).items() if m in realized]
         pivot, pivot_d2 = min(nbrs, key=lambda nb: len(circle_offsets(nb[1])))
-        checks = tuple(nb for nb in nbrs if nb[0] != pivot)
+        checks = tuple(x for nb in nbrs if nb[0] != pivot for x in nb)
         expected = sum(1 for _, d2 in nbrs if d2 <= excl)
         plan.append((Level(node, pivot, pivot_d2, circle_offsets(pivot_d2), checks), expected))
         realized.add(node)
@@ -372,7 +373,7 @@ def plan_levels_reference(problem, order, excl):
 def derived_expected(level, excl):
     """The count solve derives from excl: all realized neighbours under unit-disk rules
     (every edge has d2 <= r^2 = excl), none under conventional ones (d2 >= 1 > excl = 0)."""
-    return len(level.checks) + 1 if excl else 0
+    return len(level.checks) // 2 + 1 if excl else 0
 
 
 def test_plan_levels_matches_reference():
@@ -401,7 +402,7 @@ def test_plan_follows_the_order():
     plan = realization_order(prob, Ordering.MOST_CONNECTED)
     assert [lv.node for lv in plan] == [3, 4]
     # node 3: all three anchor circles have 4 points, so anchor 0 pivots
-    assert (plan[0].pivot, plan[0].checks) == (0, ((1, 2), (2, 2)))
+    assert (plan[0].pivot, plan[0].checks) == (0, (1, 2, 2, 2))
     assert (plan[1].pivot, plan[1].checks) == (3, ())
     for level, expected in zip(plan, (3, 1)):
         assert derived_expected(level, prob.radius_sq) == expected
@@ -488,6 +489,26 @@ def test_active_path_memory_does_not_grow_with_the_circle():
     assert max(peaks) <= 1.5 * min(peaks), peaks
 
 
+def test_solve_on_a_fresh_chain_peaks_under_700_bytes_a_node():
+    """A find-first solve of a fresh 20k-node chain, whose CSR adjacency it builds, holds the
+    CSR columns, a plan with flat checks, the active path and one solution: it peaks under
+    700 bytes a node (about 590 on CPython 3.11; a dict-of-dicts adjacency and a tuple per
+    check peaked at about 830)."""
+    n = 20_000
+    config = SolverConfig(rules=RuleSet.CONVENTIONAL, find_all=False)
+    solve(chain_problem([1] * 10, 1), config)  # the circle cache is warm
+    prob = chain_problem([1] * (n - 3), 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = solve(prob, config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert res.stats.instances_visited == n - 3
+    assert peak <= 700 * n, peak / n
+
+
 def test_find_first_chain_counts_each_pivot_circle_once():
     """Each level is expanded once, and an expansion counts its whole pivot circle, however
     few of its points the cursor reaches."""
@@ -560,7 +581,7 @@ def test_sub_locations_matches_circle_walk_reference():
             realized = dict(prob.anchors)
             pos = [realized.get(i) for i in range(prob.n_nodes)]
             for level in plan:
-                adj = prob.adjacency[level.node]
+                adj = neighbours(prob, level.node)
                 px, py = realized[level.pivot]
                 circle = [Point(px + dx, py + dy) for dx, dy in circle_offsets(level.pivot_d2)]
                 edge_ok = [
@@ -820,7 +841,7 @@ def test_verify_reports_distinctness():
 
 def verify_all_pairs(problem, assignment, rules):
     """Reference: scan every pair in ascending (i, j) order, the first violation wins."""
-    adj = problem.adjacency
+    adj = {u: neighbours(problem, u) for u in range(problem.n_nodes)}
     excl = rules.exclusion(problem.radius_sq)
     n = problem.n_nodes
     for i in range(n):

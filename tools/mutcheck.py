@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SOLVER_TESTS = "tests/test_solver.py::"
+MODEL_TESTS = "tests/test_model.py::"
 
 
 class Mutant(NamedTuple):
@@ -60,23 +61,23 @@ MUTANTS = (
     Mutant(
         "counts raised (and the frontier fed) for realized neighbours too",
         "udgl/solver.py",
-        "                checks.append((v, d2))\n            else:\n",
-        "                checks.append((v, d2))\n            if True:\n",
+        "                checks.append(d2)\n            else:\n",
+        "                checks.append(d2)\n            if True:\n",
         (SOLVER_TESTS + "test_realization_order_matches_resort_reference",),
     ),
     Mutant(
         "the unit-disk no-edge count without the pivot (+ 1 dropped)",
         "udgl/solver.py",
-        "expects = [len(level.checks) + 1 for level in plan]",
-        "expects = [len(level.checks) for level in plan]",
+        "expects = [len(level.checks) // 2 + 1 for level in plan]",
+        "expects = [len(level.checks) // 2 for level in plan]",
         (SOLVER_TESTS + "test_solve_fixture_f1_counts", SOLVER_TESTS + "test_cell_list_boundary"),
     ),
     Mutant(
-        "a most-connected pick as a fresh int (key % n) rather than the adjacency's key",
+        "a most-connected pick as a fresh int (key % n) rather than its int object in the adjacency",
         "udgl/solver.py",
         "pick = ids[key % n]",
         "pick = key % n",
-        (SOLVER_TESTS + "test_plan_nodes_are_the_adjacency_keys",),
+        (SOLVER_TESTS + "test_plan_nodes_are_the_adjacency_ints",),
     ),
     Mutant(
         "the meet table's key without the pivot's squared length",
@@ -93,11 +94,11 @@ MUTANTS = (
         (SOLVER_TESTS + "test_sub_locations_shared_meet_table_matches_a_fresh_one",),
     ),
     Mutant(
-        "the meet table storing the survivors of checks[1:] instead of the meet",
+        "the meet table storing the survivors of the other checks instead of the meet",
         "udgl/solver.py",
-        "        if len(meets) < MEET_CAP:\n            meets[key] = meet\n    if len(checks) == 1:\n        return meet\n"
+        "        if len(meets) < MEET_CAP:\n            meets[key] = meet\n    if len(checks) == 2:\n        return meet\n"
         "    out = []\n",
-        "    if len(checks) == 1:\n        meets[key] = meet\n        return meet\n    out = meets[key] = []\n",
+        "    if len(checks) == 2:\n        meets[key] = meet\n        return meet\n    out = meets[key] = []\n",
         (SOLVER_TESTS + "test_sub_locations_shared_meet_table_matches_a_fresh_one",),
     ),
     Mutant(
@@ -113,6 +114,41 @@ MUTANTS = (
         "dict(enumerate(map(Point._make, pos)))",
         "dict(enumerate(pos))",
         (SOLVER_TESTS + "test_recorded_solutions_hold_points",),
+    ),
+    Mutant(
+        "the unit-disk no-edge count reading the flat checks at stride 1, not 2",
+        "udgl/solver.py",
+        "expects = [len(level.checks) // 2 + 1 for level in plan]",
+        "expects = [len(level.checks) + 1 for level in plan]",
+        (SOLVER_TESTS + "test_solve_fixture_f1_counts",),
+    ),
+    Mutant(
+        "the pivot's index into the flat checks counted in pairs, not in entries",
+        "udgl/solver.py",
+        "at, best = len(checks), circle",
+        "at, best = len(checks) // 2, circle",
+        (SOLVER_TESTS + "test_plan_levels_matches_reference",),
+    ),
+    Mutant(
+        "the walk of the flat checks skipping the second check (checks[4:] for checks[2:])",
+        "udgl/solver.py",
+        "tail = checks[2:]",
+        "tail = checks[4:]",
+        (SOLVER_TESTS + "test_sub_locations_matches_circle_walk_reference",),
+    ),
+    Mutant(
+        "a text_rows piece cut at its '\\n' instead of just after it",
+        "udgl/model.py",
+        "end = cut + 1 if cut >= 0 else len(text)",
+        "end = cut if cut >= 0 else len(text)",
+        (MODEL_TESTS + "test_text_rows_cut_into_chunks_numbers_lines_as_splitlines",),
+    ),
+    Mutant(
+        "the CSR filling every node's upper neighbours before its lower ones",
+        "udgl/model.py",
+        "            nbrs[k], d2s[k], fill[i] = j, d2, k + 1\n            k = fill[j]\n",
+        "            nbrs[k], d2s[k], fill[i] = j, d2, k + 1\n        for i, j, d2 in self.edges:\n            k = fill[j]\n",
+        (MODEL_TESTS + "test_problem_adjacency_matches_a_dict_of_dicts_whatever_the_edge_order",),
     ),
 )
 
