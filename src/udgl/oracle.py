@@ -1,19 +1,19 @@
 """Independent brute-force enumeration of all valid realizations.
 
 This module certifies the search: it places the unknowns over their
-hop-bounded reach boxes by plain domain filtering (vectorized with numpy),
-with no circle pivoting and no realization ordering. One mask function states
-the constraints against a set of placed points, and every surviving tuple is
-re-checked over all pairs by `satisfies`. A work limit bounds the candidate
-points examined. It shares only the geometry primitives with the solver.
-numpy is imported by the two functions that use it, so no other udgl command
-pays for loading it.
+hop-bounded reach boxes by plain domain filtering in exact Python integers,
+with no circle pivoting and no realization ordering. A reach box is walked one
+row of lattice points at a time, so only the filtered domain is ever held. One
+row filter states the constraints against a set of placed points, and every
+surviving tuple is re-checked over all pairs by `satisfies`. A work limit
+bounds the candidate points examined. It shares only the geometry primitives
+with the solver.
 """
 
 from __future__ import annotations
 
 from math import isqrt
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .geometry import Point, circle_offsets, collinear, dist2
 from .model import Instance, Problem, strip_instance
@@ -102,23 +102,25 @@ def satisfies(problem: Problem, assignment: dict[int, Point], rules: RuleSet) ->
     return True
 
 
-def _fits(px: np.ndarray, py: np.ndarray, placed: dict[int, Point], problem: Problem, u: int, excl: int) -> np.ndarray:
-    """Which candidate points (px, py) of node u meet every constraint against the placed points.
+def _fits(x: int, ys: Sequence[int], placed: dict[int, Point], lengths: dict[int, int], excl: int) -> Sequence[int]:
+    """The ys of row x at which a point meets every constraint against the placed points.
 
-    A placed neighbour of u (in u's row of the problem's CSR adjacency) fixes the squared
-    distance exactly; any other placed point must lie farther than excl, which is 0 (distinct
-    points) under conventional rules and radius_sq under unit-disk rules.
+    A placed neighbour v (lengths maps it to its squared length) fixes (y - vy)² exactly,
+    so the exact lengths go first and leave at most two ys. Any other placed point must
+    lie farther than excl: 0 (distinct points) under conventional rules, radius_sq under
+    unit-disk rules.
     """
-    import numpy as np
-
-    start, nbrs, d2s = problem.adjacency
-    lengths = dict(zip(nbrs[start[u]:start[u + 1]], d2s[start[u]:start[u + 1]]))
-    mask = np.ones(px.shape, dtype=bool)
     for v, (vx, vy) in placed.items():
-        s = (px - vx) ** 2 + (py - vy) ** 2
-        d2 = lengths.get(v)
-        mask &= s == d2 if d2 is not None else s > excl
-    return mask
+        if v in lengths:
+            need = lengths[v] - (x - vx) ** 2
+            if need < 0:
+                return []
+            ys = [y for y in ys if (y - vy) ** 2 == need]
+    for v, (vx, vy) in placed.items():
+        room = excl - (x - vx) ** 2
+        if room >= 0 and v not in lengths:
+            ys = [y for y in ys if (y - vy) ** 2 > room]
+    return ys
 
 
 def brute_force_solutions(problem: Problem, rules: RuleSet, work_limit: int = 10**9) -> list[dict[int, Point]]:
@@ -126,7 +128,8 @@ def brute_force_solutions(problem: Problem, rules: RuleSet, work_limit: int = 10
 
     Each unknown's candidates are the points of its hop-bounded reach box,
     which provably contains it in any valid realization, that meet every
-    anchor constraint. Unknowns are then placed one at a time, smallest domain
+    anchor constraint; the box is filtered one row at a time into a domain of
+    rows (x, ys). Unknowns are then placed one at a time, smallest domain
     first, each domain filtered against the unknowns placed so far, and each
     complete tuple is confirmed by the independent full-pair check. Results
     are in canonical order (sorted by the unknown coordinates in id order).
@@ -135,8 +138,6 @@ def brute_force_solutions(problem: Problem, rules: RuleSet, work_limit: int = 10
     plus every domain point each time an unknown is placed. Passing it raises
     CapExceededError, as does a reach box of more than 50M points.
     """
-    import numpy as np
-
     unknowns = problem.unknown_ids
     base = dict(problem.anchors)
     if not unknowns:
@@ -151,42 +152,41 @@ def brute_force_solutions(problem: Problem, rules: RuleSet, work_limit: int = 10
         if examined > work_limit:
             raise CapExceededError(f"more than {work_limit} candidate points examined")
 
-    # Per-unknown domains filtered by every anchor constraint.
+    # Per-unknown domains filtered by every anchor constraint, and each unknown's edge lengths.
     hops = _hop_counts(problem)
-    domains: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    start, nbrs, d2s = problem.adjacency
+    lengths: dict[int, dict[int, int]] = {}
+    domains: dict[int, list[tuple[int, Sequence[int]]]] = {}
     for u in unknowns:
         box = reach_box(problem, u, hops)
         if box.n_points > 50_000_000:
             raise CapExceededError(f"search box for node {u} spans {box.n_points} points")
         examine(box.n_points)
-        gx, gy = np.meshgrid(
-            np.arange(box.xmin, box.xmax + 1, dtype=np.int64),
-            np.arange(box.ymin, box.ymax + 1, dtype=np.int64),
-            indexing="ij",
-        )
-        px, py = gx.ravel(), gy.ravel()
-        mask = _fits(px, py, problem.anchors, problem, u, excl)
-        domains[u] = (px[mask], py[mask])
+        lengths[u] = dict(zip(nbrs[start[u]:start[u + 1]], d2s[start[u]:start[u + 1]]))
+        ys = range(box.ymin, box.ymax + 1)
+        rows = ((x, _fits(x, ys, problem.anchors, lengths[u], excl)) for x in range(box.xmin, box.xmax + 1))
+        domains[u] = [row for row in rows if row[1]]
 
-    order = sorted(unknowns, key=lambda u: (len(domains[u][0]), u))
+    sizes = {u: sum(len(ys) for _, ys in domains[u]) for u in unknowns}
+    order = sorted(unknowns, key=lambda u: (sizes[u], u))
     found: list[dict[int, Point]] = []
     chosen: dict[int, Point] = {}
 
     def extend(idx: int) -> None:
         u = order[idx]
-        dx, dy = domains[u]
-        examine(len(dx))
-        mask = _fits(dx, dy, chosen, problem, u, excl)
+        examine(sizes[u])
+        rows = [(x, _fits(x, ys, chosen, lengths[u], excl)) for x, ys in domains[u]]
         last = idx + 1 == len(order)
-        for x, y in zip(dx[mask].tolist(), dy[mask].tolist()):
-            chosen[u] = Point(x, y)
-            if last:
-                assignment = dict(base)
-                assignment.update(chosen)
-                if satisfies(problem, assignment, rules):
-                    found.append(assignment)
-            else:
-                extend(idx + 1)
+        for x, ys in rows:
+            for y in ys:
+                chosen[u] = Point(x, y)
+                if last:
+                    assignment = dict(base)
+                    assignment.update(chosen)
+                    if satisfies(problem, assignment, rules):
+                        found.append(assignment)
+                else:
+                    extend(idx + 1)
         chosen.pop(u, None)
 
     extend(0)

@@ -334,8 +334,9 @@ print(json.dumps(steps))
 """
 
 
-def test_only_the_oracle_loads_numpy(tmp_path):
-    net, sols, spec, csv = (tmp_path / name for name in ("net.udgl", "net.sol", "sweep.spec", "out.csv"))
+def test_no_command_loads_numpy(tmp_path):
+    net, sols, spec, csv, f1 = (
+        tmp_path / name for name in ("net.udgl", "net.sol", "sweep.spec", "out.csv", "f1.udgl"))
     spec.write_text(
         "grid_side 14\nn_nodes 8\nradius_sq_values 40\nanchor_counts 3\n"
         "rule_sets unit-disk\norderings most-connected\ntrials 1\nbase_seed 5\nbudget 50000\n"
@@ -346,6 +347,7 @@ def test_only_the_oracle_loads_numpy(tmp_path):
         ["solve", str(net), "--all", "-o", str(sols)],
         ["verify", str(net), str(sols)],
         ["bench", "--spec", str(spec), "-o", str(csv)],
+        ["fixture", "f1", "--max-grid", "10", "-o", str(f1)],
     ]
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
@@ -358,5 +360,6 @@ def test_only_the_oracle_loads_numpy(tmp_path):
         ["solve", 0, False],
         ["verify", 0, False],
         ["bench", 0, False],
-        ["oracle", 1, True],
+        ["fixture", 0, False],
+        ["oracle", 1, False],
     ]

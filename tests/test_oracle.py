@@ -1,10 +1,11 @@
 import random
+import tracemalloc
 from math import isqrt
 
 import pytest
 
 from udgl.geometry import Point, dist2
-from udgl.model import Edge, GenerationError, Problem, generate_instance, strip_instance, write_file
+from udgl.model import Edge, GenerationError, Instance, Problem, generate_instance, strip_instance, write_file
 from udgl.oracle import (
     CapExceededError,
     FixtureNotFoundError,
@@ -186,6 +187,24 @@ def test_unknown_cap_and_work_limit():
     wide = Problem(n_nodes=4, radius_sq=10**8, anchors={0: (0, 0), 1: (1, 0), 2: (0, 1)}, edges=(Edge(0, 3, 1),))
     with pytest.raises(CapExceededError, match="search box for node 3 spans"):
         brute_force_solutions(wide, RuleSet.CONVENTIONAL)
+
+
+def test_oracle_peak_memory_follows_its_domain_not_its_reach_box():
+    """The reach box is filtered one row at a time, so its 234,256 points are never held at once."""
+    positions = (Point(0, 0), Point(199, 0), Point(0, 199), Point(100, 100))
+    inst = Instance(grid_side=200, radius_sq=20000, positions=positions, anchor_flags=(True, True, True, False))
+    prob = strip_instance(inst)
+    assert reach_box(prob, 3).n_points == 234_256
+    for rules in RuleSet:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            found = brute_force_solutions(prob, rules)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert found == [inst.assignment()]
+        assert peak < 1_000_000, (rules, peak)
 
 
 def test_satisfies_cross_checks_verify():

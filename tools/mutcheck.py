@@ -26,6 +26,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 SOLVER_TESTS = "tests/test_solver.py::"
 MODEL_TESTS = "tests/test_model.py::"
+ORACLE_TESTS = "tests/test_oracle.py::"
 
 
 class Mutant(NamedTuple):
@@ -149,6 +150,20 @@ MUTANTS = (
         "            nbrs[k], d2s[k], fill[i] = j, d2, k + 1\n            k = fill[j]\n",
         "            nbrs[k], d2s[k], fill[i] = j, d2, k + 1\n        for i, j, d2 in self.edges:\n            k = fill[j]\n",
         (MODEL_TESTS + "test_problem_adjacency_matches_a_dict_of_dicts_whatever_the_edge_order",),
+    ),
+    Mutant(
+        "the oracle's row filter emptying a row whose exact length leaves 0 for dy², not only a negative",
+        "udgl/oracle.py",
+        "if need < 0:",
+        "if need <= 0:",
+        (ORACLE_TESTS + "test_fixture_f1_certification",),
+    ),
+    Mutant(
+        "the oracle's row filter excluding a point at one past the exclusion radius too",
+        "udgl/oracle.py",
+        "(y - vy) ** 2 > room",
+        "(y - vy) ** 2 > room + 1",
+        (ORACLE_TESTS + "test_oracle_solver_agreement",),
     ),
 )
 
